@@ -16,6 +16,13 @@
 // times over the batched-inference forward shapes) is the ISSUE's >= 2x
 // target and is gated in CI by tools/bench_check.
 //
+// A second, ungated table times the batch-1 dense1 (368 -> 512) calls a
+// served request and an attack gradient make, under the tuned config:
+// forward and input gradient with W packed per call (the free functions)
+// vs packed once (kernels::DenseWeightPack, what ml::Dense runs). The
+// packed outputs must be bitwise equal to the per-call ones
+// ("batch1_bitwise_ok"), or the bench exits 1.
+//
 // Before timing, every shape's kernel output is checked ULP-bounded
 // against the reference; a divergence aborts with exit 1 (a benchmark of
 // a wrong result is worthless) and is reported as "ulp_ok": 0.
@@ -206,17 +213,62 @@ bool case_matches_reference(const LayerCase& c, CaseBuffers& buf) {
          close_enough(buf.gb, want.gb);
 }
 
-/// Best-of-N wall time for `iters` runs of one case.
-double best_of(int reps, int iters, const LayerCase& c, CaseBuffers& buf,
-               bool reference) {
+/// Best-of-N mean microseconds per call of `f`.
+template <typename F>
+double best_us(int reps, int iters, F&& f) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
     util::Stopwatch sw;
-    for (int i = 0; i < iters; ++i) run_case(c, buf, reference);
-    const double ms = sw.elapsed_ms();
-    best = r == 0 ? ms : std::min(best, ms);
+    for (int i = 0; i < iters; ++i) f();
+    const double us = sw.elapsed_ms() * 1000.0 / iters;
+    best = r == 0 ? us : std::min(best, us);
   }
   return best;
+}
+
+/// The batch-1 dense1 table: per-call vs pre-packed weights.
+struct Batch1Dense1 {
+  double fwd_unpacked_us = 0, fwd_packed_us = 0;
+  double grad_unpacked_us = 0, grad_packed_us = 0;
+  bool bitwise_ok = false;
+};
+
+Batch1Dense1 time_batch1_dense1(int reps, int iters, util::Rng& rng) {
+  constexpr std::size_t in = 368, out = 512;
+  auto fill = [&](std::size_t n) {
+    std::vector<float> v(n);
+    for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return v;
+  };
+  const auto x = fill(in), w = fill(out * in), b = fill(out), g = fill(out);
+  std::vector<float> y(out), y_packed(out), gx(in), gx_packed(in);
+  kernels::DenseWeightPack pack;
+  const kernels::PackedB* wt = pack.forward(1, in, out, w.data());
+  const kernels::PackedB* wp = pack.input_grad(1, in, out, w.data());
+
+  auto fwd = [&](const kernels::PackedB* p, std::vector<float>& dst) {
+    kernels::dense_forward(1, in, out, x.data(), w.data(), b.data(),
+                           dst.data(), p);
+  };
+  auto grad = [&](const kernels::PackedB* p, std::vector<float>& dst) {
+    kernels::dense_input_grad(1, in, out, w.data(), g.data(), dst.data(), p);
+  };
+  Batch1Dense1 r;
+  r.fwd_unpacked_us = best_us(reps, iters, [&] { fwd(nullptr, y); });
+  r.fwd_packed_us = best_us(reps, iters, [&] { fwd(wt, y_packed); });
+  r.grad_unpacked_us = best_us(reps, iters, [&] { grad(nullptr, gx); });
+  r.grad_packed_us = best_us(reps, iters, [&] { grad(wp, gx_packed); });
+  r.bitwise_ok =
+      std::memcmp(y.data(), y_packed.data(), out * sizeof(float)) == 0 &&
+      std::memcmp(gx.data(), gx_packed.data(), in * sizeof(float)) == 0;
+  return r;
+}
+
+/// Best-of-N wall time for `iters` runs of one case.
+double best_of(int reps, int iters, const LayerCase& c, CaseBuffers& buf,
+               bool reference) {
+  return best_us(reps, iters, [&] { run_case(c, buf, reference); }) * iters /
+         1000.0;
 }
 
 }  // namespace
@@ -325,6 +377,19 @@ int main(int argc, char** argv) {
   std::printf("all-shapes speedup (fwd+bwd):              %.2fx\n",
               train_speedup);
 
+  const auto b1 = time_batch1_dense1(reps, smoke ? 200 : 1000, rng);
+  std::printf("batch-1 dense1 fwd        per-call pack %8.2f us  pre-packed "
+              "%8.2f us\n",
+              b1.fwd_unpacked_us, b1.fwd_packed_us);
+  std::printf("batch-1 dense1 input grad per-call pack %8.2f us  pre-packed "
+              "%8.2f us\n",
+              b1.grad_unpacked_us, b1.grad_packed_us);
+  if (!b1.bitwise_ok) {
+    std::fprintf(stderr,
+                 "gemm bench: pre-packed dense1 output differs from the "
+                 "per-call path\n");
+  }
+
   std::ofstream out("BENCH_gemm.json");
   out << "{\n  \"benchmark\": \"gemm\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
@@ -344,7 +409,14 @@ int main(int argc, char** argv) {
   }
   out << "  ],\n"
       << "  \"tuned_speedup\": " << tuned_speedup << ",\n"
-      << "  \"train_speedup\": " << train_speedup << "\n}\n";
+      << "  \"train_speedup\": " << train_speedup << ",\n"
+      << "  \"batch1_dense1_fwd_unpacked_us\": " << b1.fwd_unpacked_us << ",\n"
+      << "  \"batch1_dense1_fwd_packed_us\": " << b1.fwd_packed_us << ",\n"
+      << "  \"batch1_dense1_input_grad_unpacked_us\": " << b1.grad_unpacked_us
+      << ",\n"
+      << "  \"batch1_dense1_input_grad_packed_us\": " << b1.grad_packed_us
+      << ",\n"
+      << "  \"batch1_bitwise_ok\": " << (b1.bitwise_ok ? 1 : 0) << "\n}\n";
   std::cout << "wrote BENCH_gemm.json\n";
-  return 0;
+  return b1.bitwise_ok ? 0 : 1;
 }

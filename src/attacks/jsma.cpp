@@ -94,6 +94,9 @@ std::vector<double> Jsma::craft(ml::DifferentiableClassifier& clf,
     bump(bp);
     bump(bq);
   }
+  // Features JSMA never touched keep their input value, which the scaler
+  // can put outside the box for rows unlike the training data.
+  detail::clamp01(adv);
   return adv;
 }
 

@@ -35,8 +35,8 @@ ml::TrainStats adversarial_train(ml::Model& model, const ml::LabeledData& data,
       const std::size_t n = end - begin;
 
       // Assemble the (possibly adversarial) batch. Crafting runs the model
-      // in inference mode and leaves stale layer caches / param grads; both
-      // are reset by the training forward + zero_grad below.
+      // in inference mode and leaves stale layer caches (never parameter
+      // gradients); the training forward below resets them.
       ml::Tensor x({n, 1, dim});
       std::vector<std::uint8_t> y(n);
       for (std::size_t i = 0; i < n; ++i) {

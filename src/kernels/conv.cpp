@@ -103,14 +103,12 @@ void conv1d_forward(const Conv1DShape& s, const float* x, const float* w,
   }
 }
 
-void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
-                     const float* grad_out, float* grad_in, float* gw,
-                     float* gb) {
+void conv1d_param_grads(const Conv1DShape& s, const float* x,
+                        const float* grad_out, float* gw, float* gb) {
   const std::size_t l_out = s.l_out();
   const std::size_t kdim = s.in_ch * s.k;
   const std::size_t ncols = s.n * l_out;
   if (ncols == 0 || s.out_ch == 0) return;
-  const std::ptrdiff_t base = pad_base(s);
 
   // Bias gradient in the seed's order (sample-major, position-ascending).
   for (std::size_t i = 0; i < s.n; ++i) {
@@ -122,21 +120,16 @@ void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
     }
   }
 
-  KernelScratch& scratch = KernelScratch::tls();
-  float* col = scratch.col(kdim * ncols);
+  float* col = KernelScratch::tls().col(kdim * ncols);
   im2col(s, x, col);
-  float* dcol = scratch.dcol(kdim * l_out);
-
   for (std::size_t i = 0; i < s.n; ++i) {
-    const float* g_i = grad_out + i * s.out_ch * l_out;
-
     // gw += G_i * col_i^T: (out_ch x l_out) * (l_out x kdim), sample-major
     // accumulation matching the seed loop's order.
     GemmSpec wspec;
     wspec.m = s.out_ch;
     wspec.n = kdim;
     wspec.k = l_out;
-    wspec.a = g_i;
+    wspec.a = grad_out + i * s.out_ch * l_out;
     wspec.lda = l_out;
     wspec.b = col + i * l_out;  // column slice of sample i, transposed view
     wspec.ldb = ncols;
@@ -145,7 +138,18 @@ void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
     wspec.ldc = kdim;
     wspec.accumulate = true;
     gemm(wspec);
+  }
+}
 
+void conv1d_input_grad(const Conv1DShape& s, const float* w,
+                       const float* grad_out, float* grad_in) {
+  const std::size_t l_out = s.l_out();
+  const std::size_t kdim = s.in_ch * s.k;
+  if (s.n * l_out == 0 || s.out_ch == 0) return;
+  const std::ptrdiff_t base = pad_base(s);
+  float* dcol = KernelScratch::tls().dcol(kdim * l_out);
+
+  for (std::size_t i = 0; i < s.n; ++i) {
     // dcol = W^T * G_i: (kdim x out_ch) * (out_ch x l_out).
     GemmSpec xspec;
     xspec.m = kdim;
@@ -154,7 +158,7 @@ void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
     xspec.a = w;
     xspec.lda = kdim;
     xspec.trans_a = true;
-    xspec.b = g_i;
+    xspec.b = grad_out + i * s.out_ch * l_out;
     xspec.ldb = l_out;
     xspec.c = dcol;
     xspec.ldc = l_out;
@@ -179,26 +183,65 @@ void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
   }
 }
 
-void dense_forward(std::size_t n, std::size_t in, std::size_t out,
-                   const float* x, const float* w, const float* b, float* y) {
+void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
+                     const float* grad_out, float* grad_in, float* gw,
+                     float* gb) {
+  conv1d_param_grads(s, x, grad_out, gw, gb);
+  conv1d_input_grad(s, w, grad_out, grad_in);
+}
+
+namespace {
+
+/// y = x * W^T + b: W (out, in) row-major read as its (in, out) transpose.
+/// Also the spec DenseWeightPack packs W^T from, so the two cannot drift.
+GemmSpec dense_forward_spec(std::size_t n, std::size_t in, std::size_t out,
+                            const float* x, const float* w, const float* b,
+                            float* y) {
   GemmSpec spec;
   spec.m = n;
   spec.n = out;
   spec.k = in;
   spec.a = x;
   spec.lda = in;
-  spec.b = w;  // (out, in) row-major read as its (in, out) transpose
+  spec.b = w;
   spec.ldb = in;
   spec.trans_b = true;
   spec.c = y;
   spec.ldc = out;
   spec.bias_col = b;
+  return spec;
+}
+
+/// grad_in = G * W: (n x out) * (out x in); the spec W is packed from.
+GemmSpec dense_input_grad_spec(std::size_t n, std::size_t in, std::size_t out,
+                               const float* w, const float* grad_out,
+                               float* grad_in) {
+  GemmSpec spec;
+  spec.m = n;
+  spec.n = in;
+  spec.k = out;
+  spec.a = grad_out;
+  spec.lda = out;
+  spec.b = w;
+  spec.ldb = in;
+  spec.c = grad_in;
+  spec.ldc = in;
+  return spec;
+}
+
+}  // namespace
+
+void dense_forward(std::size_t n, std::size_t in, std::size_t out,
+                   const float* x, const float* w, const float* b, float* y,
+                   const PackedB* wt_pack) {
+  GemmSpec spec = dense_forward_spec(n, in, out, x, w, b, y);
+  spec.packed_b = wt_pack;
   gemm(spec);
 }
 
-void dense_backward(std::size_t n, std::size_t in, std::size_t out,
-                    const float* x, const float* w, const float* grad_out,
-                    float* grad_in, float* gw, float* gb) {
+void dense_param_grads(std::size_t n, std::size_t in, std::size_t out,
+                       const float* x, const float* grad_out, float* gw,
+                       float* gb) {
   // Bias gradient in the seed's sample-major order.
   for (std::size_t i = 0; i < n; ++i) {
     const float* g_i = grad_out + i * out;
@@ -220,19 +263,45 @@ void dense_backward(std::size_t n, std::size_t in, std::size_t out,
   wspec.ldc = in;
   wspec.accumulate = true;
   gemm(wspec);
+}
 
-  // grad_in = G * W: (n x out) * (out x in).
-  GemmSpec xspec;
-  xspec.m = n;
-  xspec.n = in;
-  xspec.k = out;
-  xspec.a = grad_out;
-  xspec.lda = out;
-  xspec.b = w;
-  xspec.ldb = in;
-  xspec.c = grad_in;
-  xspec.ldc = in;
-  gemm(xspec);
+void dense_input_grad(std::size_t n, std::size_t in, std::size_t out,
+                      const float* w, const float* grad_out, float* grad_in,
+                      const PackedB* w_pack) {
+  GemmSpec spec = dense_input_grad_spec(n, in, out, w, grad_out, grad_in);
+  spec.packed_b = w_pack;
+  gemm(spec);
+}
+
+void dense_backward(std::size_t n, std::size_t in, std::size_t out,
+                    const float* x, const float* w, const float* grad_out,
+                    float* grad_in, float* gw, float* gb) {
+  dense_param_grads(n, in, out, x, grad_out, gw, gb);
+  dense_input_grad(n, in, out, w, grad_out, grad_in);
+}
+
+namespace {
+
+const PackedB* pack_for(PackedB& pack, const GemmSpec& spec) {
+  const KernelConfig cfg = active_config();
+  if (cfg.scalar()) return nullptr;
+  if (pack.fits(spec, cfg)) return &pack;
+  if (spec.m >= cfg.mr) return nullptr;
+  pack.pack(spec, cfg);
+  return &pack;
+}
+
+}  // namespace
+
+const PackedB* DenseWeightPack::forward(std::size_t n, std::size_t in,
+                                        std::size_t out, const float* w) {
+  return pack_for(wt_, dense_forward_spec(n, in, out, nullptr, w, nullptr,
+                                          nullptr));
+}
+
+const PackedB* DenseWeightPack::input_grad(std::size_t n, std::size_t in,
+                                           std::size_t out, const float* w) {
+  return pack_for(w_, dense_input_grad_spec(n, in, out, w, nullptr, nullptr));
 }
 
 }  // namespace gea::kernels

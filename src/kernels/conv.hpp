@@ -9,6 +9,11 @@
 // G * col^T accumulated; input gradient: W^T * G scattered by col2im).
 // Dense forward/backward are direct GEMM mappings.
 //
+// Every backward is split in two: *_param_grads accumulates the weight and
+// bias gradients, *_input_grad writes dL/dx, and *_backward runs both. An
+// attack that only wants dL/dx calls the input half alone, which skips the
+// weight-gradient GEMMs (and, for Conv1D, the im2col they read).
+//
 // Numeric contract (see kernels/reference.hpp for the preserved seed
 // loops): every output element is one k-ordered accumulation chain, so
 // results are independent of batch size and tile configuration —
@@ -19,6 +24,8 @@
 #pragma once
 
 #include <cstddef>
+
+#include "kernels/gemm.hpp"
 
 namespace gea::kernels {
 
@@ -38,19 +45,64 @@ struct Conv1DShape {
 void conv1d_forward(const Conv1DShape& shape, const float* x, const float* w,
                     const float* b, float* y);
 
-/// Accumulates gw (out_ch, in_ch, k) and gb (out_ch); writes grad_in
-/// (n, in_ch, l_in), which must be zero-initialized by the caller.
+/// Accumulates gw (out_ch, in_ch, k) and gb (out_ch).
+void conv1d_param_grads(const Conv1DShape& shape, const float* x,
+                        const float* grad_out, float* gw, float* gb);
+
+/// Adds dL/dx into grad_in (n, in_ch, l_in), which the caller zeroes.
+void conv1d_input_grad(const Conv1DShape& shape, const float* w,
+                       const float* grad_out, float* grad_in);
+
+/// conv1d_param_grads then conv1d_input_grad.
 void conv1d_backward(const Conv1DShape& shape, const float* x, const float* w,
                      const float* grad_out, float* grad_in, float* gw,
                      float* gb);
 
-/// y (n, out) = x (n, in) * w^T (w is (out, in) row-major) + b.
+/// y (n, out) = x (n, in) * w^T (w is (out, in) row-major) + b. `wt_pack`,
+/// when given, is w^T pre-packed by DenseWeightPack::forward.
 void dense_forward(std::size_t n, std::size_t in, std::size_t out,
-                   const float* x, const float* w, const float* b, float* y);
+                   const float* x, const float* w, const float* b, float* y,
+                   const PackedB* wt_pack = nullptr);
 
-/// Accumulates gw (out, in) and gb (out); writes grad_in (n, in).
+/// Accumulates gw (out, in) and gb (out).
+void dense_param_grads(std::size_t n, std::size_t in, std::size_t out,
+                       const float* x, const float* grad_out, float* gw,
+                       float* gb);
+
+/// Writes grad_in (n, in) = grad_out * w. `w_pack`, when given, is w
+/// pre-packed by DenseWeightPack::input_grad.
+void dense_input_grad(std::size_t n, std::size_t in, std::size_t out,
+                      const float* w, const float* grad_out, float* grad_in,
+                      const PackedB* w_pack = nullptr);
+
+/// dense_param_grads then dense_input_grad.
 void dense_backward(std::size_t n, std::size_t in, std::size_t out,
                     const float* x, const float* w, const float* grad_out,
                     float* grad_in, float* gw, float* gb);
+
+/// A Dense weight matrix w (out, in) packed once for the two GEMMs that
+/// read it as B: w^T for dense_forward, w for dense_input_grad, for a
+/// batch of n rows. A layout that fits the active config is returned as
+/// is. Otherwise it is packed only when n < mr, where a per-call pack
+/// would cost more than the product itself; larger batches get nullptr
+/// and pack per call, which keeps training (new weights every step) on
+/// the unchanged path. A request under another nr/kc repacks; nullptr
+/// under the scalar config. The owner calls reset() whenever w may have
+/// changed.
+class DenseWeightPack {
+ public:
+  const PackedB* forward(std::size_t n, std::size_t in, std::size_t out,
+                         const float* w);
+  const PackedB* input_grad(std::size_t n, std::size_t in, std::size_t out,
+                            const float* w);
+  void reset() {
+    wt_.reset();
+    w_.reset();
+  }
+
+ private:
+  PackedB wt_;
+  PackedB w_;
+};
 
 }  // namespace gea::kernels

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "obs/metrics.hpp"
 
@@ -116,8 +117,76 @@ void micro_tile(std::size_t kb, const float* __restrict ap,
   }
 }
 
+/// Four float lanes (GCC/Clang vector extension). The small-m kernel is
+/// written on it because plain loops over its 32 lanes did not stay in
+/// registers reliably across optimization levels; it compiles to the same
+/// separate mulps/addps a vectorized micro_tile runs, lane by lane.
+typedef float Lanes4 __attribute__((vector_size(16)));
+
+/// Small-m tile: one row of C against G consecutive NR-wide panels lying
+/// `stride` floats apart, over a kb-deep block. Each lane runs exactly the
+/// chain micro_tile would (loaded from C, advanced in k order, stored back
+/// masked); G panels in flight give the adder independent chains to
+/// overlap where one narrow panel would wait on its own latency.
+template <int NR, int G>
+void micro_row(std::size_t kb, const float* __restrict a,
+               const float* __restrict bp, std::size_t stride,
+               float* __restrict c, std::size_t nv) {
+  constexpr int V = NR / 4;
+  float lanes[G * NR] = {};
+  for (std::size_t idx = 0; idx < nv; ++idx) lanes[idx] = c[idx];
+  Lanes4 acc[G][V];
+#pragma GCC unroll 16
+  for (int g = 0; g < G; ++g) {
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      std::memcpy(&acc[g][v], lanes + g * NR + v * 4, sizeof(Lanes4));
+    }
+  }
+  for (std::size_t kk = 0; kk < kb; ++kk) {
+    const Lanes4 av = Lanes4{} + a[kk];
+#pragma GCC unroll 16
+    for (int g = 0; g < G; ++g) {
+      const float* brow = bp + g * stride + kk * NR;
+#pragma GCC unroll 16
+      for (int v = 0; v < V; ++v) {
+        Lanes4 bv;
+        std::memcpy(&bv, brow + v * 4, sizeof(Lanes4));
+        acc[g][v] += av * bv;
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (int g = 0; g < G; ++g) {
+#pragma GCC unroll 16
+    for (int v = 0; v < V; ++v) {
+      std::memcpy(lanes + g * NR + v * 4, &acc[g][v], sizeof(Lanes4));
+    }
+  }
+  for (std::size_t idx = 0; idx < nv; ++idx) c[idx] = lanes[idx];
+}
+
 using MicroFn = void (*)(std::size_t, const float*, const float*, float*,
                          std::size_t, std::size_t, std::size_t);
+using RowFn = void (*)(std::size_t, const float*, const float*, std::size_t,
+                       float*, std::size_t);
+
+/// Row kernels for one panel width: `group` runs `panels` panels at once
+/// (32 lanes, eight SSE accumulators), `single` mops up the remainder.
+struct RowKernels {
+  RowFn group = nullptr;
+  RowFn single = nullptr;
+  std::size_t panels = 0;
+};
+
+RowKernels row_kernels(std::uint32_t nr) {
+  switch (nr) {
+    case 4: return {micro_row<4, 8>, micro_row<4, 1>, 8};
+    case 8: return {micro_row<8, 4>, micro_row<8, 1>, 4};
+    case 16: return {micro_row<16, 2>, micro_row<16, 1>, 2};
+    default: return {};
+  }
+}
 
 struct Variant {
   std::uint32_t mr, nr;
@@ -139,10 +208,39 @@ MicroFn find_variant(std::uint32_t mr, std::uint32_t nr) {
   return nullptr;
 }
 
+/// Every row of C (m < mr) against the B block at (p0, j0), whose panels
+/// start at `bp`. A rows are packed one per kb-long run of `ap`.
+void row_block(const GemmSpec& s, std::size_t p0, std::size_t kb,
+               std::size_t j0, std::size_t nb, std::size_t nr,
+               const float* bp, const RowKernels& rk, float* ap) {
+  pack_a_block(s, 0, s.m, p0, kb, 1, ap);
+  const std::size_t npanels = (nb + nr - 1) / nr;
+  const std::size_t stride = nr * kb;
+  for (std::size_t i = 0; i < s.m; ++i) {
+    const float* arow = ap + i * kb;
+    float* crow = s.c + i * s.ldc + j0;
+    std::size_t q = 0;
+    for (; q + rk.panels <= npanels; q += rk.panels) {
+      rk.group(kb, arow, bp + q * stride, stride, crow + q * nr,
+               std::min(rk.panels * nr, nb - q * nr));
+    }
+    for (; q < npanels; ++q) {
+      rk.single(kb, arow, bp + q * stride, stride, crow + q * nr,
+                std::min(nr, nb - q * nr));
+    }
+  }
+}
+
 void tiled_gemm(const GemmSpec& s, const KernelConfig& cfg,
                 KernelScratch& scratch, MicroFn micro) {
   const std::size_t mr = cfg.mr, nr = cfg.nr;
-  const std::size_t mc = cfg.mc, kc = cfg.kc, nc = cfg.nc;
+  const std::size_t mc = cfg.mc, kc = cfg.kc;
+  // Whole panels per column block, so every block starts on a PackedB
+  // panel boundary. Chains never span column blocks: nc is cache-only.
+  const std::size_t nc = (cfg.nc + nr - 1) / nr * nr;
+  const PackedB* packed =
+      s.packed_b != nullptr && s.packed_b->fits(s, cfg) ? s.packed_b : nullptr;
+  const RowKernels rows = s.m < mr ? row_kernels(cfg.nr) : RowKernels{};
   init_c(s);
   for (std::size_t j0 = 0; j0 < s.n; j0 += nc) {
     const std::size_t nb = std::min(nc, s.n - j0);
@@ -151,8 +249,18 @@ void tiled_gemm(const GemmSpec& s, const KernelConfig& cfg,
     // whole shared dimension in order before the next column block starts.
     for (std::size_t p0 = 0; p0 < s.k; p0 += kc) {
       const std::size_t kb = std::min(kc, s.k - p0);
-      float* bp = scratch.pack_b(npanels * nr * kb);
-      pack_b_block(s, p0, kb, j0, nb, nr, bp);
+      const float* bp = nullptr;
+      if (packed != nullptr) {
+        bp = packed->block(p0, j0);
+      } else {
+        float* buf = scratch.pack_b(npanels * nr * kb);
+        pack_b_block(s, p0, kb, j0, nb, nr, buf);
+        bp = buf;
+      }
+      if (rows.group != nullptr) {
+        row_block(s, p0, kb, j0, nb, nr, bp, rows, scratch.pack_a(s.m * kb));
+        continue;
+      }
       for (std::size_t i0 = 0; i0 < s.m; i0 += mc) {
         const std::size_t mb = std::min(mc, s.m - i0);
         const std::size_t mpanels = (mb + mr - 1) / mr;
@@ -194,6 +302,26 @@ struct KernelMetrics {
 };
 
 }  // namespace
+
+void PackedB::pack(const GemmSpec& spec, const KernelConfig& cfg) {
+  reset();
+  if (cfg.scalar()) return;
+  const std::size_t nr = cfg.nr, kc = cfg.kc;
+  panels_ = (spec.n + nr - 1) / nr;
+  const std::size_t size = panels_ * nr * spec.k;
+  if (size > capacity_) {
+    data_.reset(new float[size]);
+    capacity_ = size;
+  }
+  for (std::size_t p0 = 0; p0 < spec.k; p0 += kc) {
+    pack_b_block(spec, p0, std::min(kc, spec.k - p0), 0, spec.n, nr,
+                 data_.get() + p0 * panels_ * nr);
+  }
+  k_ = spec.k;
+  n_ = spec.n;
+  kc_ = cfg.kc;
+  nr_ = cfg.nr;
+}
 
 void gemm(const GemmSpec& spec, const KernelConfig& cfg,
           KernelScratch& scratch) {

@@ -26,7 +26,7 @@ Tensor ReLU::infer(const Tensor& x) {
   return y;
 }
 
-Tensor ReLU::backward(const Tensor& grad_out) {
+Tensor ReLU::backward_input(const Tensor& grad_out) {
   if (grad_out.size() != mask_.size()) {
     throw std::invalid_argument("ReLU::backward: gradient size mismatch");
   }
@@ -54,7 +54,7 @@ Tensor Dropout::forward(const Tensor& x, bool training) {
   return y;
 }
 
-Tensor Dropout::backward(const Tensor& grad_out) {
+Tensor Dropout::backward_input(const Tensor& grad_out) {
   if (!last_training_ || p_ == 0.0) return grad_out;
   if (grad_out.size() != mask_.size()) {
     throw std::invalid_argument("Dropout::backward: gradient size mismatch");
@@ -95,7 +95,7 @@ Tensor Flatten::infer(const Tensor& x) {
   return y;
 }
 
-Tensor Flatten::backward(const Tensor& grad_out) {
+Tensor Flatten::backward_input(const Tensor& grad_out) {
   Tensor grad_in = grad_out;
   grad_in.reshape(in_shape_);
   return grad_in;

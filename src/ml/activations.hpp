@@ -8,7 +8,7 @@ namespace gea::ml {
 class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& x, bool training) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward_input(const Tensor& grad_out) override;
   /// Inference fast path: clamp without building the backward mask.
   Tensor infer(const Tensor& x) override;
   std::string describe() const override { return "ReLU"; }
@@ -26,7 +26,7 @@ class Dropout : public Layer {
   Dropout(double p, util::Rng& rng);
 
   Tensor forward(const Tensor& x, bool training) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward_input(const Tensor& grad_out) override;
   /// Identity at inference (inverted dropout), so no work and no Rng draw.
   Tensor infer(const Tensor& x) override { return x; }
   std::string describe() const override;
@@ -46,7 +46,7 @@ class Dropout : public Layer {
 class Flatten : public Layer {
  public:
   Tensor forward(const Tensor& x, bool training) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward_input(const Tensor& grad_out) override;
   /// Reshape without remembering the input shape for backward.
   Tensor infer(const Tensor& x) override;
   std::string describe() const override { return "Flatten"; }

@@ -83,16 +83,26 @@ Tensor Conv1D::infer(const Tensor& x) {
   return y;
 }
 
-Tensor Conv1D::backward(const Tensor& grad_out) {
+kernels::Conv1DShape Conv1D::grad_shape(const Tensor& grad_out) const {
   const auto s = shape_for(last_input_);
   if (grad_out.rank() != 3 || grad_out.dim(0) != s.n ||
       grad_out.dim(1) != out_ch_ || grad_out.dim(2) != s.l_out()) {
     throw std::invalid_argument("Conv1D::backward: bad gradient shape " +
                                 grad_out.shape_string());
   }
+  return s;
+}
+
+void Conv1D::accumulate_param_grads(const Tensor& grad_out) {
+  const auto s = grad_shape(grad_out);
+  kernels::conv1d_param_grads(s, last_input_.data(), grad_out.data(),
+                              gw_.data(), gb_.data());
+}
+
+Tensor Conv1D::backward_input(const Tensor& grad_out) {
+  const auto s = grad_shape(grad_out);
   Tensor grad_in({s.n, in_ch_, s.l_in});
-  kernels::conv1d_backward(s, last_input_.data(), w_.data(), grad_out.data(),
-                           grad_in.data(), gw_.data(), gb_.data());
+  kernels::conv1d_input_grad(s, w_.data(), grad_out.data(), grad_in.data());
   return grad_in;
 }
 

@@ -25,7 +25,9 @@ class Conv1D : public Layer {
          std::size_t kernel_size, Padding padding);
 
   Tensor forward(const Tensor& x, bool training) override;
-  Tensor backward(const Tensor& grad_out) override;
+  /// dL/dx alone skips the weight-gradient GEMMs and their im2col.
+  Tensor backward_input(const Tensor& grad_out) override;
+  void accumulate_param_grads(const Tensor& grad_out) override;
   /// Batched inference fast path: forward() without the input cache copy.
   /// Identical kernel path, so the logits are bitwise identical.
   Tensor infer(const Tensor& x) override;
@@ -38,6 +40,8 @@ class Conv1D : public Layer {
 
  private:
   kernels::Conv1DShape shape_for(const Tensor& x) const;
+  /// Shape of the cached forward input, after checking grad_out against it.
+  kernels::Conv1DShape grad_shape(const Tensor& grad_out) const;
 
   std::size_t in_ch_;
   std::size_t out_ch_;

@@ -4,7 +4,17 @@
 // backward call must follow the forward call whose gradient it computes.
 // backward() accumulates parameter gradients (callers zero them via
 // Model::zero_grad) and returns the gradient with respect to the layer
-// input — the chain every white-box attack rides to get input gradients.
+// input. backward_input() returns the same input gradient, bit for bit,
+// without touching a parameter gradient — the chain every white-box attack
+// rides. backward() is literally accumulate_param_grads() followed by
+// backward_input(), so the two can never disagree.
+//
+// Layers may keep derived copies of their weights (Dense keeps them packed
+// for the GEMM). Such a copy is dropped by init() and by every params()
+// call, and is not rebuilt while a Param handed out by params() is still
+// alive: a Param is a write lease on the weights. Write weights only
+// through a live Param (or init / Model::load), never through a pointer
+// kept after its Param is gone.
 #pragma once
 
 #include <memory>
@@ -16,11 +26,14 @@
 
 namespace gea::ml {
 
-/// A learnable parameter: value and gradient, same length.
+/// A learnable parameter: value and gradient, same length. `lease` keeps
+/// the owning layer from caching derived copies of `value` while any copy
+/// of this Param is alive (see the header comment).
 struct Param {
   std::vector<float>* value = nullptr;
   std::vector<float>* grad = nullptr;
   std::string name;
+  std::shared_ptr<const void> lease = nullptr;
 };
 
 class Layer {
@@ -32,7 +45,18 @@ class Layer {
 
   /// Propagate `grad_out` (dL/d output) to dL/d input, accumulating
   /// parameter gradients along the way.
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  Tensor backward(const Tensor& grad_out) {
+    accumulate_param_grads(grad_out);
+    return backward_input(grad_out);
+  }
+
+  /// dL/d input only: bitwise the value backward() returns, with every
+  /// parameter gradient left untouched.
+  virtual Tensor backward_input(const Tensor& grad_out) = 0;
+
+  /// Add dL/d params for `grad_out` into the gradient buffers (no-op for
+  /// stateless layers). Follows the same forward() as backward_input().
+  virtual void accumulate_param_grads(const Tensor& /*grad_out*/) {}
 
   /// Inference-only forward over a (possibly multi-sample) batch: skips
   /// every backward cache (input copies, ReLU masks, pool argmaxes) and may

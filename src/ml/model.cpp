@@ -41,6 +41,14 @@ Tensor Model::backward(const Tensor& grad_out) {
   return cur;
 }
 
+Tensor Model::backward_input(const Tensor& grad_out) {
+  Tensor cur = grad_out;
+  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+    cur = (*it)->backward_input(cur);
+  }
+  return cur;
+}
+
 std::vector<Param> Model::params() {
   std::vector<Param> all;
   for (auto& l : layers_) {
@@ -326,9 +334,7 @@ std::vector<double> ModelClassifier::grad_weighted(
   for (std::size_t k = 0; k < classes_; ++k) {
     seed.at2(0, k) = static_cast<float>(weights[k]);
   }
-  // Parameter gradients accumulate as a side effect; training never
-  // interleaves with attacks, and trainers zero grads each step anyway.
-  const Tensor gin = model_->backward(seed);
+  const Tensor gin = model_->backward_input(seed);
   std::vector<double> g(dim_);
   for (std::size_t i = 0; i < dim_; ++i) g[i] = gin[i];
   return g;

@@ -40,6 +40,17 @@ class Model {
   /// Returns dL/d input; parameter gradients are accumulated.
   Tensor backward(const Tensor& grad_out);
 
+  /// Input-only backward: the same dL/d input as backward(), bit for bit,
+  /// with every parameter gradient left untouched. Skips the weight-
+  /// gradient GEMMs — the attacks' path (ModelClassifier::grad_weighted).
+  Tensor backward_input(const Tensor& grad_out);
+
+  /// Every parameter of every layer. Each Param is a write lease: layers
+  /// drop their packed weight copies on this call and do not rebuild them
+  /// while any returned Param is alive (ml/layer.hpp). Optimizer steps,
+  /// copy_params_from and load change weights this way (init drops the
+  /// packs itself), so the next small-batch forward/infer packs the new
+  /// values.
   std::vector<Param> params();
   void zero_grad();
   std::size_t num_parameters();

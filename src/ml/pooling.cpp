@@ -62,7 +62,7 @@ Tensor MaxPool1D::infer(const Tensor& x) {
   return y;
 }
 
-Tensor MaxPool1D::backward(const Tensor& grad_out) {
+Tensor MaxPool1D::backward_input(const Tensor& grad_out) {
   if (grad_out.size() != argmax_.size()) {
     throw std::invalid_argument("MaxPool1D::backward: gradient size mismatch");
   }

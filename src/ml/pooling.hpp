@@ -12,7 +12,7 @@ class MaxPool1D : public Layer {
   explicit MaxPool1D(std::size_t window);
 
   Tensor forward(const Tensor& x, bool training) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward_input(const Tensor& grad_out) override;
   /// Inference fast path: max without the argmax bookkeeping.
   Tensor infer(const Tensor& x) override;
   std::string describe() const override;

@@ -284,6 +284,17 @@ void DetectionServer::process_batch(std::vector<Request>& batch) {
 
   for (std::size_t i = 0; i < live.size(); ++i) {
     Request& req = *live[i];
+    // Non-finite logits carry no verdict: argmax would read them as the
+    // first class (benign). Fail the request instead of guessing.
+    if (!std::all_of(logits[i].begin(), logits[i].end(),
+                     [](double z) { return std::isfinite(z); })) {
+      stats_.on_nonfinite_logits();
+      req.promise.set_value(util::Result<Verdict>(
+          Status::error(ErrorCode::kInternal,
+                        "model produced non-finite logits")
+              .with_context("DetectionServer::process_batch")));
+      continue;
+    }
     Verdict v;
     v.logits = std::move(logits[i]);
     v.probabilities = softmax(v.logits);

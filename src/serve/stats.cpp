@@ -14,7 +14,8 @@ std::string StatsSnapshot::summary() const {
      << elapsed_s << "s (" << qps << " qps)\n";
   os << "  rejected: " << rejected_full << " queue-full, " << rejected_no_model
      << " no-model, " << rejected_invalid << " invalid, " << expired
-     << " deadline-expired; queue depth " << queue_depth << "\n";
+     << " deadline-expired, " << nonfinite_logits
+     << " non-finite logits; queue depth " << queue_depth << "\n";
   os << "  batches: " << batches << " (mean size " << mean_batch() << ")";
   if (!batch_sizes.empty()) {
     os << " histogram {";
@@ -41,6 +42,7 @@ ServerStats::ServerStats() {
   reg_.rejected_invalid = &reg.counter("serve.rejected_invalid_total");
   reg_.rejected_no_model = &reg.counter("serve.rejected_no_model_total");
   reg_.expired = &reg.counter("serve.expired_total");
+  reg_.nonfinite_logits = &reg.counter("serve.nonfinite_logits");
   reg_.completed = &reg.counter("serve.completed_total");
   reg_.batches = &reg.counter("serve.batches_total");
   reg_.batch_size =
@@ -84,6 +86,12 @@ void ServerStats::on_expired() {
   reg_.expired->inc();
   std::lock_guard<std::mutex> lock(mu_);
   ++counts_.expired;
+}
+
+void ServerStats::on_nonfinite_logits() {
+  reg_.nonfinite_logits->inc();
+  std::lock_guard<std::mutex> lock(mu_);
+  ++counts_.nonfinite_logits;
 }
 
 void ServerStats::on_batch(std::size_t batch_size) {

@@ -28,6 +28,7 @@ struct StatsSnapshot {
   std::uint64_t rejected_invalid = 0;  // refused before/at inference: bad input
   std::uint64_t rejected_no_model = 0; // refused: no active checkpoint
   std::uint64_t expired = 0;         // dropped at dequeue: deadline passed
+  std::uint64_t nonfinite_logits = 0;  // failed after inference: NaN/Inf out
 
   // Execution.
   std::uint64_t completed = 0;       // verdicts delivered
@@ -77,6 +78,7 @@ class ServerStats {
   void on_rejected_invalid();
   void on_rejected_no_model();
   void on_expired();
+  void on_nonfinite_logits();
   void on_batch(std::size_t batch_size);
   /// `trace_id` (when nonzero) becomes an exemplar candidate on the
   /// serve.queue_ms/infer_ms/total_ms registry histograms, linking the
@@ -104,6 +106,7 @@ class ServerStats {
     obs::Counter* rejected_invalid;
     obs::Counter* rejected_no_model;
     obs::Counter* expired;
+    obs::Counter* nonfinite_logits;
     obs::Counter* completed;
     obs::Counter* batches;
     obs::Histogram* batch_size;

@@ -225,6 +225,23 @@ TEST(Jsma, ChangesFewFeatures) {
   EXPECT_LT(total_changed / static_cast<double>(flips), 12.0);
 }
 
+// A row the training-fit scaler maps outside [0,1]^23 (values past the
+// training range): the untouched features must not leak out of the box.
+TEST(Jsma, ClipsOutOfBoxRowIntoUnitBox) {
+  auto& tm = shared_model();
+  const auto [rows, labels] = tm.correct_samples(4);
+  Jsma attack;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    auto row = rows[i];
+    row[0] = 1.7;
+    row[5] = -0.4;
+    row[kDim - 1] = 3.0;
+    ASSERT_FALSE(in_unit_box(row));
+    const auto adv = attack.craft(tm.clf(), row, 1 - labels[i]);
+    EXPECT_TRUE(in_unit_box(adv)) << "row " << i;
+  }
+}
+
 TEST(CarliniWagner, FlipsWithSmallL2) {
   auto& tm = shared_model();
   const auto [rows, labels] = tm.correct_samples(8);

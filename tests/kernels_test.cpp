@@ -2,13 +2,17 @@
 // the tiled GEMM path against the preserved seed loops across a randomized
 // shape sweep (ragged M/N/K, batch 1/3/16), bitwise batch invariance,
 // scalar-fallback parity, config persistence round-trips, scratch
-// footprint stability, and the obs metric mirrors.
+// footprint stability, and the obs metric mirrors. Also the pre-packed B
+// operand and the small-m path (bitwise equal to the per-call tiled path
+// and the scalar fallback), the Dense weight-pack lifecycle, and the
+// input-only backward.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,6 +22,9 @@
 #include "kernels/reference.hpp"
 #include "kernels/scratch.hpp"
 #include "kernels/tune.hpp"
+#include "ml/model.hpp"
+#include "ml/optimizer.hpp"
+#include "ml/zoo.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -391,6 +398,266 @@ TEST(KernelScratch, FootprintStableAfterWarmup) {
   for (int i = 0; i < 10; ++i) pass();
   EXPECT_EQ(kernels::KernelScratch::tls().footprint_bytes(), warm)
       << "steady-state kernel calls must not grow scratch";
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Every compiled variant, m = 1 .. 2*mr+1 (so both the small-m path and
+/// register tiles with partial rows run), k over several kc blocks, n not a
+/// multiple of nr, trans_b both ways: the per-call tiled path, the same
+/// path reading a PackedB, and the scalar fallback agree bit for bit.
+TEST(Gemm, PackedAndSmallMBitwiseEqualTiledAndScalar) {
+  util::Rng rng(31);
+  kernels::KernelScratch scratch;
+  const std::size_t k = 61, n = 37;
+  for (const auto& [mr, nr] : kernels::microkernel_variants()) {
+    // kc = 24: k spans three k blocks. nc = 20 is not a whole number of
+    // panels for any nr, so column blocks exercise the panel rounding.
+    const auto cfg = tiled_cfg(mr, nr, 16, 24, 20);
+    for (bool trans_b : {false, true}) {
+      const auto b = random_vec(rng, k * n);
+      kernels::GemmSpec base;
+      base.n = n;
+      base.k = k;
+      base.b = b.data();
+      base.ldb = trans_b ? k : n;
+      base.trans_b = trans_b;
+      kernels::PackedB packed;
+      packed.pack(base, cfg);
+      ASSERT_TRUE(packed.fits(base, cfg));
+      for (std::size_t m = 1; m <= 2 * mr + 1; ++m) {
+        const auto a = random_vec(rng, m * k);
+        const auto bias = random_vec(rng, n);
+        const auto c0 = random_vec(rng, m * n);
+        kernels::GemmSpec spec = base;
+        spec.m = m;
+        spec.a = a.data();
+        spec.lda = k;
+        spec.ldc = n;
+        if (m % 3 == 0) spec.bias_col = bias.data();
+        if (m % 3 == 1) spec.accumulate = true;
+
+        auto run = [&](const kernels::KernelConfig& use,
+                       const kernels::PackedB* pb) {
+          std::vector<float> c = c0;
+          kernels::GemmSpec sp = spec;
+          sp.c = c.data();
+          sp.packed_b = pb;
+          kernels::gemm(sp, use, scratch);
+          return c;
+        };
+        const auto tiled = run(cfg, nullptr);
+        const auto with_pack = run(cfg, &packed);
+        const auto scalar = run(kernels::scalar_config(), &packed);
+        const std::string tag = cfg.summary() + " m=" + std::to_string(m) +
+                                (trans_b ? " trans_b" : "");
+        EXPECT_TRUE(bitwise_equal(with_pack, tiled)) << tag;
+        EXPECT_TRUE(bitwise_equal(scalar, tiled)) << tag;
+      }
+    }
+  }
+}
+
+TEST(Gemm, PackIgnoredWhenConfigOrShapeDiffers) {
+  util::Rng rng(37);
+  kernels::KernelScratch scratch;
+  const std::size_t m = 1, k = 40, n = 24;
+  const auto a = random_vec(rng, m * k);
+  const auto b = random_vec(rng, k * n);
+  kernels::GemmSpec spec;
+  spec.m = m;
+  spec.n = n;
+  spec.k = k;
+  spec.a = a.data();
+  spec.lda = k;
+  spec.b = b.data();
+  spec.ldb = n;
+  spec.ldc = n;
+  const auto built_for = tiled_cfg(4, 8, 64, 16, 512);
+  kernels::PackedB packed;
+  packed.pack(spec, built_for);
+  EXPECT_TRUE(packed.fits(spec, built_for));
+  EXPECT_FALSE(packed.fits(spec, tiled_cfg(4, 16, 64, 16, 512)));
+  EXPECT_FALSE(packed.fits(spec, tiled_cfg(4, 8, 64, 32, 512)));
+  EXPECT_TRUE(packed.fits(spec, tiled_cfg(8, 8, 32, 16, 64)));  // mr/mc/nc free
+  kernels::GemmSpec wider = spec;
+  wider.n = n - 1;
+  EXPECT_FALSE(packed.fits(wider, built_for));
+  EXPECT_FALSE(packed.fits(spec, kernels::scalar_config()));
+
+  // Under a config it does not fit, the gemm reads `b` and stays exact.
+  const auto other = tiled_cfg(4, 16, 64, 32, 512);
+  std::vector<float> want(m * n), got(m * n);
+  spec.c = want.data();
+  kernels::gemm(spec, other, scratch);
+  spec.c = got.data();
+  spec.packed_b = &packed;
+  kernels::gemm(spec, other, scratch);
+  EXPECT_TRUE(bitwise_equal(got, want));
+
+  packed.reset();
+  EXPECT_FALSE(packed.fits(spec, built_for));
+}
+
+/// Paper CNN over the 23 features, He-initialized from `seed`.
+ml::Model paper_cnn(std::uint64_t seed, util::Rng& dropout_rng) {
+  util::Rng weight_rng(seed);
+  auto model = ml::make_paper_cnn(23, 2, dropout_rng);
+  model.init(weight_rng);
+  return model;
+}
+
+ml::Tensor random_batch(util::Rng& rng, std::size_t n) {
+  ml::Tensor x({n, 1, 23});
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+  }
+  return x;
+}
+
+bool same_bits(const ml::Tensor& a, const ml::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Batch-1 and batch-2 infer plus a batch-1 input gradient: warms (or
+/// checks) every weight pack the model keeps. Returns them concatenated.
+std::vector<float> probe(ml::Model& model, const ml::Tensor& x1,
+                         const ml::Tensor& x2) {
+  std::vector<float> out;
+  for (const auto* x : {&x1, &x2}) {
+    const auto y = model.infer(*x);
+    out.insert(out.end(), y.data(), y.data() + y.size());
+  }
+  ml::ModelClassifier clf(model, 23, 2);
+  std::vector<double> row(23);
+  for (std::size_t i = 0; i < 23; ++i) row[i] = x1[i];
+  for (double g : clf.grad_logit(row, 1)) out.push_back(static_cast<float>(g));
+  return out;
+}
+
+/// Each way weights change must drop the packs: afterwards the model
+/// answers exactly like a fresh clone (which packs from scratch) and no
+/// longer like it did before the change.
+TEST(DenseWeightPack, InvalidatedWhenWeightsOrConfigChange) {
+  util::Rng dropout_rng(0), data_rng(41);
+  auto model = paper_cnn(43, dropout_rng);
+  const auto x1 = random_batch(data_rng, 1);
+  const auto x2 = random_batch(data_rng, 2);
+  auto expect_fresh = [&](const std::vector<float>& before,
+                          const std::string& what) {
+    const auto now = probe(model, x1, x2);
+    auto clone = model.clone();
+    EXPECT_TRUE(bitwise_equal(now, probe(clone, x1, x2))) << what;
+    EXPECT_FALSE(bitwise_equal(now, before)) << what << " changed nothing";
+  };
+
+  // Optimizer step.
+  auto before = probe(model, x1, x2);
+  {
+    model.zero_grad();
+    const auto logits = model.forward(random_batch(data_rng, 4), true);
+    ml::Tensor seed(logits.shape());
+    for (std::size_t i = 0; i < seed.size(); ++i) seed[i] = 1.0f;
+    (void)model.backward(seed);
+    ml::Adam opt(0.01);
+    opt.step(model.params());
+  }
+  expect_fresh(before, "optimizer step");
+
+  // copy_params_from.
+  before = probe(model, x1, x2);
+  auto other = paper_cnn(47, dropout_rng);
+  model.copy_params_from(other);
+  expect_fresh(before, "copy_params_from");
+
+  // load_checked.
+  before = probe(model, x1, x2);
+  const std::string path = ::testing::TempDir() + "gea_pack_invalidation.bin";
+  auto saved = paper_cnn(53, dropout_rng);
+  ASSERT_TRUE(saved.save_checked(path).is_ok());
+  ASSERT_TRUE(model.load_checked(path).is_ok());
+  std::remove(path.c_str());
+  expect_fresh(before, "load_checked");
+
+  // set_active_config: another register width and k-block depth. The
+  // numbers cannot change (the chain contract), so compare with a clone
+  // packed under the new config, and with the old config's answer.
+  before = probe(model, x1, x2);
+  const auto prev = kernels::active_config();
+  ASSERT_TRUE(
+      kernels::set_active_config(tiled_cfg(4, 16, 32, 100, 256)).is_ok());
+  auto clone = model.clone();
+  const auto under_new = probe(model, x1, x2);
+  EXPECT_TRUE(bitwise_equal(under_new, probe(clone, x1, x2)));
+  EXPECT_TRUE(bitwise_equal(under_new, before));
+  ASSERT_TRUE(kernels::set_active_config(prev).is_ok());
+  EXPECT_TRUE(bitwise_equal(probe(model, x1, x2), before));
+}
+
+/// A Param is a write lease: while one is alive, writes through it between
+/// forwards are seen by the very next forward.
+TEST(DenseWeightPack, WritesThroughLiveParamAreSeen) {
+  util::Rng dropout_rng(0), data_rng(59);
+  auto model = paper_cnn(61, dropout_rng);
+  const auto x1 = random_batch(data_rng, 1);
+  const auto x2 = random_batch(data_rng, 2);
+  (void)probe(model, x1, x2);  // build the packs
+  const auto params = model.params();
+  for (int step = 0; step < 3; ++step) {
+    for (const auto& p : params) (*p.value)[0] += 0.25f;
+    auto clone = model.clone();
+    EXPECT_TRUE(bitwise_equal(probe(model, x1, x2), probe(clone, x1, x2)))
+        << "step " << step;
+  }
+}
+
+/// backward_input returns backward()'s dL/dx bit for bit and leaves every
+/// parameter gradient at zero.
+TEST(InputOnlyBackward, SameBitsAsBackwardAndGradsUntouched) {
+  util::Rng dropout_rng(0), data_rng(67);
+  auto model = paper_cnn(71, dropout_rng);
+  for (std::size_t n : {1u, 2u, 5u}) {
+    const auto x = random_batch(data_rng, n);
+    ml::Tensor seed({n, 2});
+    for (std::size_t i = 0; i < seed.size(); ++i) {
+      seed[i] = static_cast<float>(data_rng.uniform(-1.0, 1.0));
+    }
+    model.zero_grad();
+    (void)model.forward(x, false);
+    const auto input_only = model.backward_input(seed);
+    for (const auto& p : model.params()) {
+      for (float g : *p.grad) {
+        ASSERT_EQ(g, 0.0f) << p.name << " touched at batch " << n;
+      }
+    }
+    (void)model.forward(x, false);
+    const auto full = model.backward(seed);
+    EXPECT_TRUE(same_bits(input_only, full)) << "batch " << n;
+  }
+}
+
+/// Batched infer (register tiles at n >= mr, the small-m path below it)
+/// equals per-sample forward bit for bit, with the weights pre-packed.
+TEST(DenseWeightPack, BatchedInferStillEqualsPerSampleForward) {
+  util::Rng dropout_rng(0), data_rng(73);
+  auto model = paper_cnn(79, dropout_rng);
+  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 9u, 16u}) {
+    const auto x = random_batch(data_rng, n);
+    const auto batched = model.infer(x);
+    for (std::size_t i = 0; i < n; ++i) {
+      ml::Tensor one({1, 1, 23});
+      std::memcpy(one.data(), x.data() + i * 23, 23 * sizeof(float));
+      const auto single = model.forward(one, false);
+      EXPECT_EQ(std::memcmp(single.data(), batched.data() + i * 2,
+                            2 * sizeof(float)),
+                0)
+          << "batch " << n << " row " << i;
+    }
+  }
 }
 
 TEST(KernelMetrics, GemmActivityMirroredIntoRegistry) {

@@ -20,6 +20,7 @@
 #include "serve/queue.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
+#include "util/faultinject.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -428,6 +429,40 @@ TEST(Server, ProgramSubmitFeaturizesAndServes) {
   auto r = server.detect(program);
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_LT(r.value().predicted, 2u);
+  std::filesystem::remove_all(dir);
+}
+
+// A NaN feature that reaches the model yields NaN logits; a first-wins
+// argmax would call that class 0 (benign). The server must answer with a
+// typed error and count it instead of returning a verdict.
+TEST(Server, NonFiniteLogitsGetNoVerdict) {
+  const auto dir = write_checkpoint("nonfinite", 83);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  serve::DetectionServer server(reg, cfg);
+  auto& counter =
+      obs::MetricsRegistry::global().counter("serve.nonfinite_logits");
+  const auto counted0 = counter.value();
+
+  Rng rng(8);
+  const auto program = bingen::generate_program(bingen::Family::kMiraiLike, rng);
+  {
+    util::ScopedFault fault(util::faults::kFeatureNaN);
+    auto r = server.detect(program);
+    ASSERT_GE(fault.fired(), 1u);
+    ASSERT_FALSE(r.is_ok()) << "verdict " << r.value().predicted
+                            << " from a NaN feature";
+    EXPECT_EQ(r.status().code(), ErrorCode::kInternal);
+  }
+  EXPECT_EQ(server.stats().nonfinite_logits, 1u);
+  EXPECT_EQ(server.stats().completed, 0u);
+  EXPECT_EQ(counter.value(), counted0 + 1);
+
+  // The same program, unfaulted, is served normally.
+  auto clean = server.detect(program);
+  ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
   std::filesystem::remove_all(dir);
 }
 
