@@ -16,12 +16,12 @@
 // times over the batched-inference forward shapes) is the ISSUE's >= 2x
 // target and is gated in CI by tools/bench_check.
 //
-// A second, ungated table times the batch-1 dense1 (368 -> 512) calls a
-// served request and an attack gradient make, under the tuned config:
-// forward and input gradient with W packed per call (the free functions)
-// vs packed once (kernels::DenseWeightPack, what ml::Dense runs). The
-// packed outputs must be bitwise equal to the per-call ones
-// ("batch1_bitwise_ok"), or the bench exits 1.
+// A second, ungated table times the batch-1 calls a served request and an
+// attack gradient make, under the tuned config, for dense1 (368 -> 512)
+// and conv2/3/4: forward and input gradient with W packed per call (the
+// free functions without a pack) vs packed once (kernels::WeightPack, what
+// ml::Dense and ml::Conv1D run). The packed outputs must be bitwise equal
+// to the per-call ones ("batch1_bitwise_ok"), or the bench exits 1.
 //
 // Before timing, every shape's kernel output is checked ULP-bounded
 // against the reference; a divergence aborts with exit 1 (a benchmark of
@@ -226,41 +226,55 @@ double best_us(int reps, int iters, F&& f) {
   return best;
 }
 
-/// The batch-1 dense1 table: per-call vs pre-packed weights.
-struct Batch1Dense1 {
+/// One row of the batch-1 table: per-call vs pre-packed weights.
+struct Batch1Row {
+  std::string label;
   double fwd_unpacked_us = 0, fwd_packed_us = 0;
   double grad_unpacked_us = 0, grad_packed_us = 0;
   bool bitwise_ok = false;
 };
 
-Batch1Dense1 time_batch1_dense1(int reps, int iters, util::Rng& rng) {
-  constexpr std::size_t in = 368, out = 512;
-  auto fill = [&](std::size_t n) {
-    std::vector<float> v(n);
-    for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
-    return v;
-  };
-  const auto x = fill(in), w = fill(out * in), b = fill(out), g = fill(out);
-  std::vector<float> y(out), y_packed(out), gx(in), gx_packed(in);
-  kernels::DenseWeightPack pack;
-  const kernels::PackedB* wt = pack.forward(1, in, out, w.data());
-  const kernels::PackedB* wp = pack.input_grad(1, in, out, w.data());
+/// Time the forward and input gradient of a batch-1 case (c.conv.n == 1).
+Batch1Row time_batch1(const LayerCase& c, int reps, int iters,
+                      util::Rng& rng) {
+  CaseBuffers buf = make_buffers(c, rng);
+  const bool conv = c.conv.k > 0;
+  const std::size_t in = conv ? c.conv.in_ch * c.conv.k : c.in;
+  const std::size_t out = conv ? c.conv.out_ch : c.out;
+  kernels::WeightPack pack;
+  const kernels::PackedB* wt = pack.forward(1, in, out, buf.w.data());
+  const kernels::PackedB* wp = pack.input_grad(1, in, out, buf.w.data());
 
-  auto fwd = [&](const kernels::PackedB* p, std::vector<float>& dst) {
-    kernels::dense_forward(1, in, out, x.data(), w.data(), b.data(),
-                           dst.data(), p);
+  auto fwd = [&](const kernels::PackedB* p, std::vector<float>& y) {
+    if (conv) {
+      kernels::conv1d_forward(c.conv, buf.x.data(), buf.w.data(),
+                              buf.b.data(), y.data(), p);
+    } else {
+      kernels::dense_forward(1, in, out, buf.x.data(), buf.w.data(),
+                             buf.b.data(), y.data(), p);
+    }
   };
-  auto grad = [&](const kernels::PackedB* p, std::vector<float>& dst) {
-    kernels::dense_input_grad(1, in, out, w.data(), g.data(), dst.data(), p);
+  auto grad = [&](const kernels::PackedB* p, std::vector<float>& gx) {
+    if (conv) {
+      std::fill(gx.begin(), gx.end(), 0.0f);
+      kernels::conv1d_input_grad(c.conv, buf.w.data(), buf.grad_out.data(),
+                                 gx.data(), p);
+    } else {
+      kernels::dense_input_grad(1, in, out, buf.w.data(), buf.grad_out.data(),
+                                gx.data(), p);
+    }
   };
-  Batch1Dense1 r;
-  r.fwd_unpacked_us = best_us(reps, iters, [&] { fwd(nullptr, y); });
+  std::vector<float> y_packed(buf.y.size()), gx_packed(buf.gx.size());
+  Batch1Row r;
+  r.label = c.label;
+  r.fwd_unpacked_us = best_us(reps, iters, [&] { fwd(nullptr, buf.y); });
   r.fwd_packed_us = best_us(reps, iters, [&] { fwd(wt, y_packed); });
-  r.grad_unpacked_us = best_us(reps, iters, [&] { grad(nullptr, gx); });
+  r.grad_unpacked_us = best_us(reps, iters, [&] { grad(nullptr, buf.gx); });
   r.grad_packed_us = best_us(reps, iters, [&] { grad(wp, gx_packed); });
-  r.bitwise_ok =
-      std::memcmp(y.data(), y_packed.data(), out * sizeof(float)) == 0 &&
-      std::memcmp(gx.data(), gx_packed.data(), in * sizeof(float)) == 0;
+  r.bitwise_ok = std::memcmp(buf.y.data(), y_packed.data(),
+                             y_packed.size() * sizeof(float)) == 0 &&
+                 std::memcmp(buf.gx.data(), gx_packed.data(),
+                             gx_packed.size() * sizeof(float)) == 0;
   return r;
 }
 
@@ -377,17 +391,28 @@ int main(int argc, char** argv) {
   std::printf("all-shapes speedup (fwd+bwd):              %.2fx\n",
               train_speedup);
 
-  const auto b1 = time_batch1_dense1(reps, smoke ? 200 : 1000, rng);
-  std::printf("batch-1 dense1 fwd        per-call pack %8.2f us  pre-packed "
-              "%8.2f us\n",
-              b1.fwd_unpacked_us, b1.fwd_packed_us);
-  std::printf("batch-1 dense1 input grad per-call pack %8.2f us  pre-packed "
-              "%8.2f us\n",
-              b1.grad_unpacked_us, b1.grad_packed_us);
-  if (!b1.bitwise_ok) {
-    std::fprintf(stderr,
-                 "gemm bench: pre-packed dense1 output differs from the "
-                 "per-call path\n");
+  std::vector<Batch1Row> batch1;
+  bool batch1_ok = true;
+  for (const auto& c : paper_cnn_cases(1)) {
+    if (c.backward || (c.label != "dense1" && c.label != "conv2" &&
+                       c.label != "conv3" && c.label != "conv4")) {
+      continue;
+    }
+    batch1.push_back(time_batch1(c, reps, smoke ? 200 : 1000, rng));
+    const auto& r = batch1.back();
+    std::printf("batch-1 %-6s fwd        per-call pack %8.2f us  pre-packed "
+                "%8.2f us\n",
+                r.label.c_str(), r.fwd_unpacked_us, r.fwd_packed_us);
+    std::printf("batch-1 %-6s input grad per-call pack %8.2f us  pre-packed "
+                "%8.2f us\n",
+                r.label.c_str(), r.grad_unpacked_us, r.grad_packed_us);
+    if (!r.bitwise_ok) {
+      std::fprintf(stderr,
+                   "gemm bench: pre-packed %s output differs from the "
+                   "per-call path\n",
+                   r.label.c_str());
+      batch1_ok = false;
+    }
   }
 
   std::ofstream out("BENCH_gemm.json");
@@ -409,14 +434,16 @@ int main(int argc, char** argv) {
   }
   out << "  ],\n"
       << "  \"tuned_speedup\": " << tuned_speedup << ",\n"
-      << "  \"train_speedup\": " << train_speedup << ",\n"
-      << "  \"batch1_dense1_fwd_unpacked_us\": " << b1.fwd_unpacked_us << ",\n"
-      << "  \"batch1_dense1_fwd_packed_us\": " << b1.fwd_packed_us << ",\n"
-      << "  \"batch1_dense1_input_grad_unpacked_us\": " << b1.grad_unpacked_us
-      << ",\n"
-      << "  \"batch1_dense1_input_grad_packed_us\": " << b1.grad_packed_us
-      << ",\n"
-      << "  \"batch1_bitwise_ok\": " << (b1.bitwise_ok ? 1 : 0) << "\n}\n";
+      << "  \"train_speedup\": " << train_speedup << ",\n";
+  for (const auto& r : batch1) {
+    const std::string key = "  \"batch1_" + r.label;
+    out << key << "_fwd_unpacked_us\": " << r.fwd_unpacked_us << ",\n"
+        << key << "_fwd_packed_us\": " << r.fwd_packed_us << ",\n"
+        << key << "_input_grad_unpacked_us\": " << r.grad_unpacked_us
+        << ",\n"
+        << key << "_input_grad_packed_us\": " << r.grad_packed_us << ",\n";
+  }
+  out << "  \"batch1_bitwise_ok\": " << (batch1_ok ? 1 : 0) << "\n}\n";
   std::cout << "wrote BENCH_gemm.json\n";
-  return b1.bitwise_ok ? 0 : 1;
+  return batch1_ok ? 0 : 1;
 }

@@ -610,11 +610,24 @@ ml::LabeledData scaled_data(const dataset::Corpus& corpus,
   return data;
 }
 
-/// Every 5th sample held out for evaluation.
+/// Every 5th sample is held out for evaluation.
+bool held_out(std::size_t i) { return i % 5 == 0; }
+
+/// Raw feature rows of the training split: what the scaler is fit on, so
+/// no test row leaks into it.
+std::vector<features::FeatureVector> train_feature_rows(
+    const dataset::Corpus& corpus) {
+  std::vector<features::FeatureVector> rows;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    if (!held_out(i)) rows.push_back(corpus.samples()[i].features);
+  }
+  return rows;
+}
+
 void split_data(const ml::LabeledData& all, ml::LabeledData& train,
                 ml::LabeledData& test) {
   for (std::size_t i = 0; i < all.size(); ++i) {
-    auto& dst = (i % 5 == 0) ? test : train;
+    auto& dst = held_out(i) ? test : train;
     dst.rows.push_back(all.rows[i]);
     dst.labels.push_back(all.labels[i]);
   }
@@ -701,7 +714,7 @@ int run_family(bool smoke) {
               corpus.size(), rep.families_present, schema.num_classes());
 
   features::FeatureScaler scaler;
-  scaler.fit(corpus.feature_rows());
+  scaler.fit(train_feature_rows(corpus));
   const auto all = scaled_data(corpus, scaler);
   ml::LabeledData train, test;
   split_data(all, train, test);

@@ -62,10 +62,38 @@ void im2col(const Conv1DShape& s, const float* x, float* col) {
   }
 }
 
+/// The forward GEMM's B side: W (out, in) row-major read as its (in, out)
+/// transpose, so C (m, out) = A (m, in) * W^T. Dense runs it on its input
+/// and Conv1D on col^T; WeightPack packs W^T from the same spec, so the
+/// two cannot drift. The caller sets m, A, C and the bias.
+GemmSpec forward_spec(std::size_t in, std::size_t out, const float* w) {
+  GemmSpec spec;
+  spec.n = out;
+  spec.k = in;
+  spec.b = w;
+  spec.ldb = in;
+  spec.trans_b = true;
+  spec.ldc = out;
+  return spec;
+}
+
+/// The input-gradient GEMM's B side: C (m, in) = G (m, out) * W. Dense runs
+/// it on its gradient and Conv1D on each sample's G_i^T; WeightPack packs W
+/// from the same spec.
+GemmSpec input_grad_spec(std::size_t in, std::size_t out, const float* w) {
+  GemmSpec spec;
+  spec.n = in;
+  spec.k = out;
+  spec.b = w;
+  spec.ldb = in;
+  spec.ldc = in;
+  return spec;
+}
+
 }  // namespace
 
 void conv1d_forward(const Conv1DShape& s, const float* x, const float* w,
-                    const float* b, float* y) {
+                    const float* b, float* y, const PackedB* wt_pack) {
   const std::size_t l_out = s.l_out();
   const std::size_t kdim = s.in_ch * s.k;
   const std::size_t ncols = s.n * l_out;
@@ -74,31 +102,24 @@ void conv1d_forward(const Conv1DShape& s, const float* x, const float* w,
   float* col = scratch.col(kdim * ncols);
   im2col(s, x, col);
 
-  GemmSpec spec;
-  spec.m = s.out_ch;
-  spec.n = ncols;
-  spec.k = kdim;
-  spec.a = w;
-  spec.lda = kdim;
-  spec.b = col;
-  spec.ldb = ncols;
-  spec.ldc = ncols;
-  spec.bias_row = b;
-  if (s.n == 1) {
-    // Single sample: y is exactly the (out_ch x l_out) product, written in
-    // place — the attack-crafting per-candidate path pays no copy.
-    spec.c = y;
-    gemm(spec);
-    return;
-  }
-  float* cbuf = scratch.cbuf(s.out_ch * ncols);
-  spec.c = cbuf;
+  // C^T (n*l_out x out_ch) = col^T * W^T + b: W is the B operand, so a
+  // pack of it is read in place of per-call packing.
+  float* ct = scratch.cbuf(ncols * s.out_ch);
+  GemmSpec spec = forward_spec(kdim, s.out_ch, w);
+  spec.m = ncols;
+  spec.a = col;
+  spec.lda = ncols;
+  spec.trans_a = true;
+  spec.c = ct;
+  spec.bias_col = b;
+  spec.packed_b = wt_pack;
   gemm(spec);
-  // De-interleave (out_ch, n*l_out) into (n, out_ch, l_out).
+  // Transpose (n*l_out, out_ch) into (n, out_ch, l_out).
   for (std::size_t i = 0; i < s.n; ++i) {
     for (std::size_t oc = 0; oc < s.out_ch; ++oc) {
-      std::memcpy(y + (i * s.out_ch + oc) * l_out,
-                  cbuf + oc * ncols + i * l_out, l_out * sizeof(float));
+      float* y_row = y + (i * s.out_ch + oc) * l_out;
+      const float* ct_col = ct + i * l_out * s.out_ch + oc;
+      for (std::size_t j = 0; j < l_out; ++j) y_row[j] = ct_col[j * s.out_ch];
     }
   }
 }
@@ -142,33 +163,37 @@ void conv1d_param_grads(const Conv1DShape& s, const float* x,
 }
 
 void conv1d_input_grad(const Conv1DShape& s, const float* w,
-                       const float* grad_out, float* grad_in) {
+                       const float* grad_out, float* grad_in,
+                       const PackedB* w_pack) {
   const std::size_t l_out = s.l_out();
   const std::size_t kdim = s.in_ch * s.k;
   if (s.n * l_out == 0 || s.out_ch == 0) return;
   const std::ptrdiff_t base = pad_base(s);
-  float* dcol = KernelScratch::tls().dcol(kdim * l_out);
+  float* dcol = KernelScratch::tls().dcol(l_out * kdim);
 
+  // dcol^T (l_out x kdim) = G_i^T * W: (l_out x out_ch) * (out_ch x kdim).
+  GemmSpec xspec = input_grad_spec(kdim, s.out_ch, w);
+  xspec.m = l_out;
+  xspec.lda = l_out;
+  xspec.trans_a = true;
+  xspec.c = dcol;
+  xspec.packed_b = w_pack;
+  if (w_pack == nullptr) {
+    // Pack W once for every sample's GEMM instead of once per sample.
+    thread_local PackedB per_call;
+    per_call.pack(xspec, active_config());
+    xspec.packed_b = &per_call;
+  }
   for (std::size_t i = 0; i < s.n; ++i) {
-    // dcol = W^T * G_i: (kdim x out_ch) * (out_ch x l_out).
-    GemmSpec xspec;
-    xspec.m = kdim;
-    xspec.n = l_out;
-    xspec.k = s.out_ch;
-    xspec.a = w;
-    xspec.lda = kdim;
-    xspec.trans_a = true;
-    xspec.b = grad_out + i * s.out_ch * l_out;
-    xspec.ldb = l_out;
-    xspec.c = dcol;
-    xspec.ldc = l_out;
+    xspec.a = grad_out + i * s.out_ch * l_out;
     gemm(xspec);
 
-    // col2im: scatter-add dcol rows back into the padded input positions.
+    // col2im: scatter-add dcol^T columns back into the padded input
+    // positions, in the seed's (ic, t, j) order.
     for (std::size_t ic = 0; ic < s.in_ch; ++ic) {
       float* gx_row = grad_in + (i * s.in_ch + ic) * s.l_in;
       for (std::size_t t = 0; t < s.k; ++t) {
-        const float* d_row = dcol + (ic * s.k + t) * l_out;
+        const float* d_col = dcol + ic * s.k + t;
         const std::ptrdiff_t shift = base + static_cast<std::ptrdiff_t>(t);
         const std::size_t j_lo =
             shift < 0 ? static_cast<std::size_t>(-shift) : 0;
@@ -176,7 +201,7 @@ void conv1d_input_grad(const Conv1DShape& s, const float* w,
         const std::size_t j_hi =
             hi <= 0 ? 0 : std::min(l_out, static_cast<std::size_t>(hi));
         for (std::size_t j = j_lo; j < j_hi; ++j) {
-          gx_row[static_cast<std::ptrdiff_t>(j) + shift] += d_row[j];
+          gx_row[static_cast<std::ptrdiff_t>(j) + shift] += d_col[j * kdim];
         }
       }
     }
@@ -190,51 +215,15 @@ void conv1d_backward(const Conv1DShape& s, const float* x, const float* w,
   conv1d_input_grad(s, w, grad_out, grad_in);
 }
 
-namespace {
-
-/// y = x * W^T + b: W (out, in) row-major read as its (in, out) transpose.
-/// Also the spec DenseWeightPack packs W^T from, so the two cannot drift.
-GemmSpec dense_forward_spec(std::size_t n, std::size_t in, std::size_t out,
-                            const float* x, const float* w, const float* b,
-                            float* y) {
-  GemmSpec spec;
-  spec.m = n;
-  spec.n = out;
-  spec.k = in;
-  spec.a = x;
-  spec.lda = in;
-  spec.b = w;
-  spec.ldb = in;
-  spec.trans_b = true;
-  spec.c = y;
-  spec.ldc = out;
-  spec.bias_col = b;
-  return spec;
-}
-
-/// grad_in = G * W: (n x out) * (out x in); the spec W is packed from.
-GemmSpec dense_input_grad_spec(std::size_t n, std::size_t in, std::size_t out,
-                               const float* w, const float* grad_out,
-                               float* grad_in) {
-  GemmSpec spec;
-  spec.m = n;
-  spec.n = in;
-  spec.k = out;
-  spec.a = grad_out;
-  spec.lda = out;
-  spec.b = w;
-  spec.ldb = in;
-  spec.c = grad_in;
-  spec.ldc = in;
-  return spec;
-}
-
-}  // namespace
-
 void dense_forward(std::size_t n, std::size_t in, std::size_t out,
                    const float* x, const float* w, const float* b, float* y,
                    const PackedB* wt_pack) {
-  GemmSpec spec = dense_forward_spec(n, in, out, x, w, b, y);
+  GemmSpec spec = forward_spec(in, out, w);
+  spec.m = n;
+  spec.a = x;
+  spec.lda = in;
+  spec.c = y;
+  spec.bias_col = b;
   spec.packed_b = wt_pack;
   gemm(spec);
 }
@@ -268,7 +257,11 @@ void dense_param_grads(std::size_t n, std::size_t in, std::size_t out,
 void dense_input_grad(std::size_t n, std::size_t in, std::size_t out,
                       const float* w, const float* grad_out, float* grad_in,
                       const PackedB* w_pack) {
-  GemmSpec spec = dense_input_grad_spec(n, in, out, w, grad_out, grad_in);
+  GemmSpec spec = input_grad_spec(in, out, w);
+  spec.m = n;
+  spec.a = grad_out;
+  spec.lda = out;
+  spec.c = grad_in;
   spec.packed_b = w_pack;
   gemm(spec);
 }
@@ -282,26 +275,25 @@ void dense_backward(std::size_t n, std::size_t in, std::size_t out,
 
 namespace {
 
-const PackedB* pack_for(PackedB& pack, const GemmSpec& spec) {
+const PackedB* pack_for(PackedB& pack, std::size_t n, const GemmSpec& spec) {
   const KernelConfig cfg = active_config();
   if (cfg.scalar()) return nullptr;
   if (pack.fits(spec, cfg)) return &pack;
-  if (spec.m >= cfg.mr) return nullptr;
+  if (n >= cfg.mr) return nullptr;
   pack.pack(spec, cfg);
   return &pack;
 }
 
 }  // namespace
 
-const PackedB* DenseWeightPack::forward(std::size_t n, std::size_t in,
-                                        std::size_t out, const float* w) {
-  return pack_for(wt_, dense_forward_spec(n, in, out, nullptr, w, nullptr,
-                                          nullptr));
+const PackedB* WeightPack::forward(std::size_t n, std::size_t in,
+                                   std::size_t out, const float* w) {
+  return pack_for(wt_, n, forward_spec(in, out, w));
 }
 
-const PackedB* DenseWeightPack::input_grad(std::size_t n, std::size_t in,
-                                           std::size_t out, const float* w) {
-  return pack_for(w_, dense_input_grad_spec(n, in, out, w, nullptr, nullptr));
+const PackedB* WeightPack::input_grad(std::size_t n, std::size_t in,
+                                      std::size_t out, const float* w) {
+  return pack_for(w_, n, input_grad_spec(in, out, w));
 }
 
 }  // namespace gea::kernels

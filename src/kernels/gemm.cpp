@@ -86,15 +86,28 @@ void pack_b_block(const GemmSpec& s, std::size_t p0, std::size_t kb,
   }
 }
 
+/// The microkernels are compiled twice, for AVX2 and for the baseline ISA,
+/// and the loader picks the clone the CPU runs (ifunc on cpuid). FMA is
+/// deliberately not a target: without it every multiply and add stays
+/// separately rounded, so the AVX2 clone computes the same chains lane for
+/// lane and its results are bitwise the baseline's. scalar_gemm stays on
+/// the baseline ISA as the reference.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define GEA_MICROKERNEL __attribute__((target_clones("avx2", "default")))
+#else
+#define GEA_MICROKERNEL
+#endif
+
 /// MR x NR register tile over a kb-deep panel pair. One code path for full
 /// and partial tiles: valid lanes load their running chain from C, dead
 /// lanes run on zeros and are dropped by the masked store — so the FP op
 /// sequence of a chain never depends on where its element fell in the
 /// tiling, which is what makes results independent of batch position.
 template <int MR, int NR>
-void micro_tile(std::size_t kb, const float* __restrict ap,
-                const float* __restrict bp, float* __restrict c,
-                std::size_t ldc, std::size_t mv, std::size_t nv) {
+GEA_MICROKERNEL void micro_tile(std::size_t kb, const float* __restrict ap,
+                                const float* __restrict bp,
+                                float* __restrict c, std::size_t ldc,
+                                std::size_t mv, std::size_t nv) {
   float acc[MR][NR];
   for (int r = 0; r < MR; ++r) {
     for (int t = 0; t < NR; ++t) {
@@ -129,9 +142,9 @@ typedef float Lanes4 __attribute__((vector_size(16)));
 /// masked); G panels in flight give the adder independent chains to
 /// overlap where one narrow panel would wait on its own latency.
 template <int NR, int G>
-void micro_row(std::size_t kb, const float* __restrict a,
-               const float* __restrict bp, std::size_t stride,
-               float* __restrict c, std::size_t nv) {
+GEA_MICROKERNEL void micro_row(std::size_t kb, const float* __restrict a,
+                               const float* __restrict bp, std::size_t stride,
+                               float* __restrict c, std::size_t nv) {
   constexpr int V = NR / 4;
   float lanes[G * NR] = {};
   for (std::size_t idx = 0; idx < nv; ++idx) lanes[idx] = c[idx];

@@ -21,18 +21,22 @@
 // which is what keeps batched inference bitwise-identical to per-sample
 // forward, and the whole layer ULP-bounded against the seed loops.
 //
-// Two speed paths live under the same contract:
+// Three speed paths live under the same contract:
 //
-//   * Pre-packed B. An operand reused across calls (a Dense layer's
-//     weights) can be packed once into a PackedB, in exactly the layout the
-//     per-call packing writes, and handed over as GemmSpec::packed_b; the
-//     tiled path then reads its panels instead of re-packing B. Only the
-//     panel source changes, never a chain.
+//   * Pre-packed B. An operand reused across calls (a Dense or Conv1D
+//     layer's weights) can be packed once into a PackedB, in exactly the
+//     layout the per-call packing writes, and handed over as
+//     GemmSpec::packed_b; the tiled path then reads its panels instead of
+//     re-packing B. Only the panel source changes, never a chain.
 //   * Small m. When m < mr (Dense layers at batch 1 .. mr-1) a register
 //     tile would be mostly dead rows, so each row of C instead streams
 //     several packed B panels at once. Every C[i][j] still keeps one
 //     register-resident chain in k order, so the result is bitwise the
 //     one the register tiles and the scalar fallback produce.
+//   * AVX2 microkernels. The register tile and row kernels are compiled
+//     for AVX2 and for the baseline ISA, and the CPU picks at load time.
+//     FMA is left out on purpose, so every multiply and add is still
+//     rounded on its own and the AVX2 clones produce the same bits.
 #pragma once
 
 #include <algorithm>

@@ -42,6 +42,19 @@ void Conv1D::init(util::Rng& rng) {
   const double scale = std::sqrt(2.0 / fan_in);
   for (auto& w : w_) w = static_cast<float>(rng.normal(0.0, scale));
   for (auto& b : b_) b = 0.0f;
+  pack_.reset();
+}
+
+const kernels::PackedB* Conv1D::packed_wt(std::size_t n) {
+  return lease_.use_count() == 1
+             ? pack_.forward(n, in_ch_ * k_, out_ch_, w_.data())
+             : nullptr;
+}
+
+const kernels::PackedB* Conv1D::packed_w(std::size_t n) {
+  return lease_.use_count() == 1
+             ? pack_.input_grad(n, in_ch_ * k_, out_ch_, w_.data())
+             : nullptr;
 }
 
 kernels::Conv1DShape Conv1D::shape_for(const Tensor& x) const {
@@ -58,30 +71,26 @@ kernels::Conv1DShape Conv1D::shape_for(const Tensor& x) const {
   return s;
 }
 
-Tensor Conv1D::forward(const Tensor& x, bool /*training*/) {
+Tensor Conv1D::apply(const Tensor& x, const char* what) {
   if (x.rank() != 3 || x.dim(1) != in_ch_) {
-    throw std::invalid_argument("Conv1D::forward: expected (N, " +
+    throw std::invalid_argument(std::string(what) + ": expected (N, " +
                                 std::to_string(in_ch_) + ", L), got " +
                                 x.shape_string());
   }
-  last_input_ = x;
   const auto s = shape_for(x);
   Tensor y({s.n, out_ch_, s.l_out()});
-  kernels::conv1d_forward(s, x.data(), w_.data(), b_.data(), y.data());
+  kernels::conv1d_forward(s, x.data(), w_.data(), b_.data(), y.data(),
+                          packed_wt(s.n));
   return y;
 }
 
-Tensor Conv1D::infer(const Tensor& x) {
-  if (x.rank() != 3 || x.dim(1) != in_ch_) {
-    throw std::invalid_argument("Conv1D::infer: expected (N, " +
-                                std::to_string(in_ch_) + ", L), got " +
-                                x.shape_string());
-  }
-  const auto s = shape_for(x);
-  Tensor y({s.n, out_ch_, s.l_out()});
-  kernels::conv1d_forward(s, x.data(), w_.data(), b_.data(), y.data());
+Tensor Conv1D::forward(const Tensor& x, bool /*training*/) {
+  Tensor y = apply(x, "Conv1D::forward");
+  last_input_ = x;
   return y;
 }
+
+Tensor Conv1D::infer(const Tensor& x) { return apply(x, "Conv1D::infer"); }
 
 kernels::Conv1DShape Conv1D::grad_shape(const Tensor& grad_out) const {
   const auto s = shape_for(last_input_);
@@ -102,12 +111,14 @@ void Conv1D::accumulate_param_grads(const Tensor& grad_out) {
 Tensor Conv1D::backward_input(const Tensor& grad_out) {
   const auto s = grad_shape(grad_out);
   Tensor grad_in({s.n, in_ch_, s.l_in});
-  kernels::conv1d_input_grad(s, w_.data(), grad_out.data(), grad_in.data());
+  kernels::conv1d_input_grad(s, w_.data(), grad_out.data(), grad_in.data(),
+                             packed_w(s.n));
   return grad_in;
 }
 
 std::vector<Param> Conv1D::params() {
-  return {{&w_, &gw_, "conv1d.w"}, {&b_, &gb_, "conv1d.b"}};
+  pack_.reset();
+  return {{&w_, &gw_, "conv1d.w", lease_}, {&b_, &gb_, "conv1d.b", lease_}};
 }
 
 std::string Conv1D::describe() const {

@@ -10,7 +10,15 @@
 // per-sample forward and batched infer stay bitwise identical by
 // construction, and the whole layer is ULP-bounded against the preserved
 // seed loops (kernels/reference.hpp).
+//
+// Like Dense, the layer keeps its weights packed for the two GEMMs that
+// read them (kernels::WeightPack), built on the first small-batch call and
+// dropped by init() and params() (the lease rule in ml/layer.hpp). So an
+// attack's batch-1 forward and input gradient stop re-packing W on every
+// call; the numbers are unchanged.
 #pragma once
+
+#include <memory>
 
 #include "kernels/conv.hpp"
 #include "ml/layer.hpp"
@@ -31,6 +39,7 @@ class Conv1D : public Layer {
   /// Batched inference fast path: forward() without the input cache copy.
   /// Identical kernel path, so the logits are bitwise identical.
   Tensor infer(const Tensor& x) override;
+  /// Drops the weight packs; each returned Param holds the write lease.
   std::vector<Param> params() override;
   std::string describe() const override;
   void init(util::Rng& rng) override;
@@ -42,6 +51,11 @@ class Conv1D : public Layer {
   kernels::Conv1DShape shape_for(const Tensor& x) const;
   /// Shape of the cached forward input, after checking grad_out against it.
   kernels::Conv1DShape grad_shape(const Tensor& grad_out) const;
+  Tensor apply(const Tensor& x, const char* what);
+  /// The pack to hand the kernels for a batch of n, or nullptr while a
+  /// Param is alive.
+  const kernels::PackedB* packed_wt(std::size_t n);
+  const kernels::PackedB* packed_w(std::size_t n);
 
   std::size_t in_ch_;
   std::size_t out_ch_;
@@ -52,6 +66,8 @@ class Conv1D : public Layer {
   std::vector<float> gw_;
   std::vector<float> gb_;
   Tensor last_input_;
+  kernels::WeightPack pack_;
+  std::shared_ptr<const void> lease_ = std::make_shared<int>(0);
 };
 
 }  // namespace gea::ml

@@ -5,8 +5,8 @@
 // k-ordered chain keeps per-sample and batched results bitwise identical
 // and matches the seed loop order exactly (kernels/reference.hpp).
 //
-// The weights are kept packed for the GEMM (kernels::DenseWeightPack): W^T
-// on the first small-batch forward/infer, W on the first small-batch input
+// The weights are kept packed for the GEMM (kernels::WeightPack): W^T on
+// the first small-batch forward/infer, W on the first small-batch input
 // gradient, each reused by every later call until init() or params() drops
 // it (see ml/layer.hpp for the lease rule). So batch-1 inference and attack
 // gradients read ready panels instead of re-packing 368x512 weights per
@@ -46,7 +46,7 @@ class Dense : public Layer {
   std::vector<float> gw_;
   std::vector<float> gb_;
   Tensor last_input_;
-  kernels::DenseWeightPack pack_;
+  kernels::WeightPack pack_;
   std::shared_ptr<const void> lease_ = std::make_shared<int>(0);
 
   Tensor apply(const Tensor& x, const char* what);

@@ -9,12 +9,12 @@
 // rides. backward() is literally accumulate_param_grads() followed by
 // backward_input(), so the two can never disagree.
 //
-// Layers may keep derived copies of their weights (Dense keeps them packed
-// for the GEMM). Such a copy is dropped by init() and by every params()
-// call, and is not rebuilt while a Param handed out by params() is still
-// alive: a Param is a write lease on the weights. Write weights only
-// through a live Param (or init / Model::load), never through a pointer
-// kept after its Param is gone.
+// Layers may keep derived copies of their weights (Dense and Conv1D keep
+// them packed for the GEMM in a kernels::WeightPack). Such a copy is
+// dropped by init() and by every params() call, and is not rebuilt while a
+// Param handed out by params() is still alive: a Param is a write lease on
+// the weights. Write weights only through a live Param (or init /
+// Model::load), never through a pointer kept after its Param is gone.
 #pragma once
 
 #include <memory>

@@ -74,6 +74,17 @@ std::future<util::Result<Verdict>> DetectionServer::submit(
     return reject(Status::error(ErrorCode::kUnavailable, "no active model")
                       .with_context("DetectionServer::submit"));
   }
+  // A non-finite feature has no verdict: the model would map it to NaN
+  // logits, or (ReLU::forward maps NaN to 0) to a confident wrong answer.
+  const auto bad = std::find_if(features.begin(), features.end(),
+                                [](double v) { return !std::isfinite(v); });
+  if (bad != features.end()) {
+    stats_.on_rejected_invalid();
+    return reject(Status::error(ErrorCode::kInvalidArgument,
+                                "non-finite feature at index " +
+                                    std::to_string(bad - features.begin()))
+                      .with_context("DetectionServer::submit"));
+  }
   Request req;
   req.features = std::move(features);
   req.enqueued = Clock::now();

@@ -5,8 +5,8 @@
 // Request path:
 //   submit() — featurize on the caller's thread (program overload), then
 //   try_push into a bounded queue. A full queue or missing model rejects
-//   immediately with a ready future (kUnavailable); the client never hangs
-//   on admission.
+//   immediately with a ready future (kUnavailable), a non-finite feature
+//   with kInvalidArgument; the client never hangs on admission.
 //   worker — blocking pop for the first request, then lingers up to
 //   max_wait_us (or until max_batch) to coalesce stragglers into one
 //   Model::infer call. Deadlines are checked at dequeue: an expired request
@@ -90,7 +90,8 @@ class DetectionServer {
 
   /// Enqueue a precomputed feature vector (raw feature units; the active
   /// checkpoint's scaler, when present, is applied server-side). The future
-  /// is ready immediately on admission failure. deadline_ms: <0 = config
+  /// is ready immediately on admission failure, and a NaN or infinite
+  /// feature fails admission with kInvalidArgument. deadline_ms: <0 = config
   /// default, 0 = none, >0 = fail with kDeadlineExceeded if still queued
   /// after that many milliseconds. `ctx` (when valid) attributes the
   /// request's queue-wait and inference spans to a distributed trace — the

@@ -4,8 +4,9 @@
 // scalar-fallback parity, config persistence round-trips, scratch
 // footprint stability, and the obs metric mirrors. Also the pre-packed B
 // operand and the small-m path (bitwise equal to the per-call tiled path
-// and the scalar fallback), the Dense weight-pack lifecycle, and the
-// input-only backward.
+// and the scalar fallback), the weight packs of Dense and Conv1D (bitwise
+// equal to packing per call, and their lifecycle), and the input-only
+// backward.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,6 +23,8 @@
 #include "kernels/reference.hpp"
 #include "kernels/scratch.hpp"
 #include "kernels/tune.hpp"
+#include "ml/activations.hpp"
+#include "ml/conv1d.hpp"
 #include "ml/model.hpp"
 #include "ml/optimizer.hpp"
 #include "ml/zoo.hpp"
@@ -502,6 +505,58 @@ TEST(Gemm, PackIgnoredWhenConfigOrShapeDiffers) {
   EXPECT_FALSE(packed.fits(spec, built_for));
 }
 
+/// Conv1D forward and input gradient with W packed once by a WeightPack,
+/// packed per call, and under the scalar config agree bit for bit: every
+/// compiled variant, batch 1 .. mr+1, same and valid padding. kc = 8 puts
+/// both shared dimensions (in_ch * k = 15, out_ch = 13) over two k blocks.
+TEST(WeightPack, ConvPackedBitwiseEqualsPerCallAndScalar) {
+  util::Rng rng(83);
+  const auto prev = kernels::active_config();
+  const std::size_t in_ch = 5, l_in = 11, out_ch = 13, k = 3;
+  const std::size_t kdim = in_ch * k;
+  const auto w = random_vec(rng, out_ch * kdim);
+  const auto b = random_vec(rng, out_ch);
+  // Forward output followed by the input gradient, under the active config.
+  auto run = [&](const kernels::Conv1DShape& s, const std::vector<float>& x,
+                 const std::vector<float>& g, const kernels::PackedB* wt,
+                 const kernels::PackedB* wp) {
+    const std::size_t ny = s.n * out_ch * s.l_out();
+    std::vector<float> out(ny + x.size(), 0.0f);
+    kernels::conv1d_forward(s, x.data(), w.data(), b.data(), out.data(), wt);
+    kernels::conv1d_input_grad(s, w.data(), g.data(), out.data() + ny, wp);
+    return out;
+  };
+  for (const auto& [mr, nr] : kernels::microkernel_variants()) {
+    const auto cfg = tiled_cfg(mr, nr, 16, 8, 20);
+    for (bool same : {true, false}) {
+      for (std::size_t n = 1; n <= mr + 1; ++n) {
+        const kernels::Conv1DShape s{n, in_ch, l_in, out_ch, k, same};
+        const auto x = random_vec(rng, n * in_ch * l_in);
+        const auto g = random_vec(rng, n * out_ch * s.l_out());
+        const std::string tag = cfg.summary() + " n=" + std::to_string(n) +
+                                (same ? " same" : " valid");
+
+        ASSERT_TRUE(kernels::set_active_config(kernels::scalar_config()).is_ok());
+        kernels::WeightPack pack;
+        EXPECT_EQ(pack.forward(1, kdim, out_ch, w.data()), nullptr) << tag;
+        EXPECT_EQ(pack.input_grad(1, kdim, out_ch, w.data()), nullptr) << tag;
+        const auto scalar = run(s, x, g, nullptr, nullptr);
+
+        ASSERT_TRUE(kernels::set_active_config(cfg).is_ok());
+        const auto* wt = pack.forward(1, kdim, out_ch, w.data());
+        const auto* wp = pack.input_grad(1, kdim, out_ch, w.data());
+        ASSERT_NE(wt, nullptr) << tag;
+        ASSERT_NE(wp, nullptr) << tag;
+        const auto per_call = run(s, x, g, nullptr, nullptr);
+        const auto packed = run(s, x, g, wt, wp);
+        EXPECT_TRUE(bitwise_equal(packed, per_call)) << tag;
+        EXPECT_TRUE(bitwise_equal(per_call, scalar)) << tag;
+      }
+    }
+  }
+  ASSERT_TRUE(kernels::set_active_config(prev).is_ok());
+}
+
 /// Paper CNN over the 23 features, He-initialized from `seed`.
 ml::Model paper_cnn(std::uint64_t seed, util::Rng& dropout_rng) {
   util::Rng weight_rng(seed);
@@ -509,6 +564,28 @@ ml::Model paper_cnn(std::uint64_t seed, util::Rng& dropout_rng) {
   model.init(weight_rng);
   return model;
 }
+
+/// Two Conv1D layers and no other weights: (n, 1, 23) in, (n, 2) logits
+/// out, so every pack the model keeps is a Conv1D's.
+ml::Model conv_only(std::uint64_t seed, util::Rng& /*dropout_rng*/) {
+  util::Rng weight_rng(seed);
+  ml::Model model;
+  model.add(std::make_unique<ml::Conv1D>(1, 6, 3, ml::Padding::kSame))
+      .add(std::make_unique<ml::ReLU>())
+      .add(std::make_unique<ml::Conv1D>(6, 2, 23, ml::Padding::kValid))
+      .add(std::make_unique<ml::Flatten>());
+  model.init(weight_rng);
+  return model;
+}
+
+/// The models the pack lifecycle tests run on: the paper CNN (Conv1D and
+/// Dense packs) and the conv-only model (Conv1D packs alone).
+struct PackedModel {
+  const char* name;
+  ml::Model (*make)(std::uint64_t, util::Rng&);
+};
+constexpr PackedModel kPackedModels[] = {{"paper_cnn", paper_cnn},
+                                         {"conv_only", conv_only}};
 
 ml::Tensor random_batch(util::Rng& rng, std::size_t n) {
   ml::Tensor x({n, 1, 23});
@@ -542,76 +619,83 @@ std::vector<float> probe(ml::Model& model, const ml::Tensor& x1,
 /// Each way weights change must drop the packs: afterwards the model
 /// answers exactly like a fresh clone (which packs from scratch) and no
 /// longer like it did before the change.
-TEST(DenseWeightPack, InvalidatedWhenWeightsOrConfigChange) {
-  util::Rng dropout_rng(0), data_rng(41);
-  auto model = paper_cnn(43, dropout_rng);
-  const auto x1 = random_batch(data_rng, 1);
-  const auto x2 = random_batch(data_rng, 2);
-  auto expect_fresh = [&](const std::vector<float>& before,
-                          const std::string& what) {
-    const auto now = probe(model, x1, x2);
+TEST(WeightPack, InvalidatedWhenWeightsOrConfigChange) {
+  for (const auto& pm : kPackedModels) {
+    SCOPED_TRACE(pm.name);
+    util::Rng dropout_rng(0), data_rng(41);
+    auto model = pm.make(43, dropout_rng);
+    const auto x1 = random_batch(data_rng, 1);
+    const auto x2 = random_batch(data_rng, 2);
+    auto expect_fresh = [&](const std::vector<float>& before,
+                            const std::string& what) {
+      const auto now = probe(model, x1, x2);
+      auto clone = model.clone();
+      EXPECT_TRUE(bitwise_equal(now, probe(clone, x1, x2))) << what;
+      EXPECT_FALSE(bitwise_equal(now, before)) << what << " changed nothing";
+    };
+
+    // Optimizer step.
+    auto before = probe(model, x1, x2);
+    {
+      model.zero_grad();
+      const auto logits = model.forward(random_batch(data_rng, 4), true);
+      ml::Tensor seed(logits.shape());
+      for (std::size_t i = 0; i < seed.size(); ++i) seed[i] = 1.0f;
+      (void)model.backward(seed);
+      ml::Adam opt(0.01);
+      opt.step(model.params());
+    }
+    expect_fresh(before, "optimizer step");
+
+    // copy_params_from.
+    before = probe(model, x1, x2);
+    auto other = pm.make(47, dropout_rng);
+    model.copy_params_from(other);
+    expect_fresh(before, "copy_params_from");
+
+    // load_checked.
+    before = probe(model, x1, x2);
+    const std::string path =
+        ::testing::TempDir() + "gea_pack_invalidation.bin";
+    auto saved = pm.make(53, dropout_rng);
+    ASSERT_TRUE(saved.save_checked(path).is_ok());
+    ASSERT_TRUE(model.load_checked(path).is_ok());
+    std::remove(path.c_str());
+    expect_fresh(before, "load_checked");
+
+    // set_active_config: another register width and k-block depth. The
+    // numbers cannot change (the chain contract), so compare with a clone
+    // packed under the new config, and with the old config's answer.
+    before = probe(model, x1, x2);
+    const auto prev = kernels::active_config();
+    ASSERT_TRUE(
+        kernels::set_active_config(tiled_cfg(4, 16, 32, 100, 256)).is_ok());
     auto clone = model.clone();
-    EXPECT_TRUE(bitwise_equal(now, probe(clone, x1, x2))) << what;
-    EXPECT_FALSE(bitwise_equal(now, before)) << what << " changed nothing";
-  };
-
-  // Optimizer step.
-  auto before = probe(model, x1, x2);
-  {
-    model.zero_grad();
-    const auto logits = model.forward(random_batch(data_rng, 4), true);
-    ml::Tensor seed(logits.shape());
-    for (std::size_t i = 0; i < seed.size(); ++i) seed[i] = 1.0f;
-    (void)model.backward(seed);
-    ml::Adam opt(0.01);
-    opt.step(model.params());
+    const auto under_new = probe(model, x1, x2);
+    EXPECT_TRUE(bitwise_equal(under_new, probe(clone, x1, x2)));
+    EXPECT_TRUE(bitwise_equal(under_new, before));
+    ASSERT_TRUE(kernels::set_active_config(prev).is_ok());
+    EXPECT_TRUE(bitwise_equal(probe(model, x1, x2), before));
   }
-  expect_fresh(before, "optimizer step");
-
-  // copy_params_from.
-  before = probe(model, x1, x2);
-  auto other = paper_cnn(47, dropout_rng);
-  model.copy_params_from(other);
-  expect_fresh(before, "copy_params_from");
-
-  // load_checked.
-  before = probe(model, x1, x2);
-  const std::string path = ::testing::TempDir() + "gea_pack_invalidation.bin";
-  auto saved = paper_cnn(53, dropout_rng);
-  ASSERT_TRUE(saved.save_checked(path).is_ok());
-  ASSERT_TRUE(model.load_checked(path).is_ok());
-  std::remove(path.c_str());
-  expect_fresh(before, "load_checked");
-
-  // set_active_config: another register width and k-block depth. The
-  // numbers cannot change (the chain contract), so compare with a clone
-  // packed under the new config, and with the old config's answer.
-  before = probe(model, x1, x2);
-  const auto prev = kernels::active_config();
-  ASSERT_TRUE(
-      kernels::set_active_config(tiled_cfg(4, 16, 32, 100, 256)).is_ok());
-  auto clone = model.clone();
-  const auto under_new = probe(model, x1, x2);
-  EXPECT_TRUE(bitwise_equal(under_new, probe(clone, x1, x2)));
-  EXPECT_TRUE(bitwise_equal(under_new, before));
-  ASSERT_TRUE(kernels::set_active_config(prev).is_ok());
-  EXPECT_TRUE(bitwise_equal(probe(model, x1, x2), before));
 }
 
 /// A Param is a write lease: while one is alive, writes through it between
 /// forwards are seen by the very next forward.
-TEST(DenseWeightPack, WritesThroughLiveParamAreSeen) {
-  util::Rng dropout_rng(0), data_rng(59);
-  auto model = paper_cnn(61, dropout_rng);
-  const auto x1 = random_batch(data_rng, 1);
-  const auto x2 = random_batch(data_rng, 2);
-  (void)probe(model, x1, x2);  // build the packs
-  const auto params = model.params();
-  for (int step = 0; step < 3; ++step) {
-    for (const auto& p : params) (*p.value)[0] += 0.25f;
-    auto clone = model.clone();
-    EXPECT_TRUE(bitwise_equal(probe(model, x1, x2), probe(clone, x1, x2)))
-        << "step " << step;
+TEST(WeightPack, WritesThroughLiveParamAreSeen) {
+  for (const auto& pm : kPackedModels) {
+    SCOPED_TRACE(pm.name);
+    util::Rng dropout_rng(0), data_rng(59);
+    auto model = pm.make(61, dropout_rng);
+    const auto x1 = random_batch(data_rng, 1);
+    const auto x2 = random_batch(data_rng, 2);
+    (void)probe(model, x1, x2);  // build the packs
+    const auto params = model.params();
+    for (int step = 0; step < 3; ++step) {
+      for (const auto& p : params) (*p.value)[0] += 0.25f;
+      auto clone = model.clone();
+      EXPECT_TRUE(bitwise_equal(probe(model, x1, x2), probe(clone, x1, x2)))
+          << "step " << step;
+    }
   }
 }
 
@@ -642,20 +726,23 @@ TEST(InputOnlyBackward, SameBitsAsBackwardAndGradsUntouched) {
 
 /// Batched infer (register tiles at n >= mr, the small-m path below it)
 /// equals per-sample forward bit for bit, with the weights pre-packed.
-TEST(DenseWeightPack, BatchedInferStillEqualsPerSampleForward) {
-  util::Rng dropout_rng(0), data_rng(73);
-  auto model = paper_cnn(79, dropout_rng);
-  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 9u, 16u}) {
-    const auto x = random_batch(data_rng, n);
-    const auto batched = model.infer(x);
-    for (std::size_t i = 0; i < n; ++i) {
-      ml::Tensor one({1, 1, 23});
-      std::memcpy(one.data(), x.data() + i * 23, 23 * sizeof(float));
-      const auto single = model.forward(one, false);
-      EXPECT_EQ(std::memcmp(single.data(), batched.data() + i * 2,
-                            2 * sizeof(float)),
-                0)
-          << "batch " << n << " row " << i;
+TEST(WeightPack, BatchedInferStillEqualsPerSampleForward) {
+  for (const auto& pm : kPackedModels) {
+    SCOPED_TRACE(pm.name);
+    util::Rng dropout_rng(0), data_rng(73);
+    auto model = pm.make(79, dropout_rng);
+    for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 9u, 16u}) {
+      const auto x = random_batch(data_rng, n);
+      const auto batched = model.infer(x);
+      for (std::size_t i = 0; i < n; ++i) {
+        ml::Tensor one({1, 1, 23});
+        std::memcpy(one.data(), x.data() + i * 23, 23 * sizeof(float));
+        const auto single = model.forward(one, false);
+        EXPECT_EQ(std::memcmp(single.data(), batched.data() + i * 2,
+                              2 * sizeof(float)),
+                  0)
+            << "batch " << n << " row " << i;
+      }
     }
   }
 }

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -20,7 +21,6 @@
 #include "serve/queue.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
-#include "util/faultinject.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -432,9 +432,43 @@ TEST(Server, ProgramSubmitFeaturizesAndServes) {
   std::filesystem::remove_all(dir);
 }
 
-// A NaN feature that reaches the model yields NaN logits; a first-wins
-// argmax would call that class 0 (benign). The server must answer with a
-// typed error and count it instead of returning a verdict.
+// A NaN or infinite feature is refused at admission, on the per-sample
+// path too (max_batch = 1), where ReLU::forward would map NaN to 0 and a
+// confident verdict would come back.
+TEST(Server, NonFiniteFeatureRejectedAsInvalid) {
+  const auto dir = write_checkpoint("nanfeature", 89);
+  serve::ModelRegistry reg;
+  ASSERT_TRUE(reg.load("v1", dir).is_ok());
+  serve::ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 1;
+  serve::DetectionServer server(reg, cfg);
+
+  Rng rng(9);
+  auto row = synthetic_row(rng);
+  row[3] = std::numeric_limits<double>::quiet_NaN();
+  auto r = server.detect(row);
+  ASSERT_FALSE(r.is_ok()) << "verdict " << r.value().predicted
+                          << " from a NaN feature";
+  EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+
+  row[3] = std::numeric_limits<double>::infinity();
+  r = server.detect(row);
+  ASSERT_FALSE(r.is_ok()) << "verdict from an infinite feature";
+  EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(server.stats().rejected_invalid, 2u);
+  EXPECT_EQ(server.stats().completed, 0u);
+
+  row[3] = 1.0;
+  auto clean = server.detect(row);
+  ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
+  std::filesystem::remove_all(dir);
+}
+
+// A finite feature can still overflow the model: 1e308 scales past float
+// range, and the logits come out non-finite. A first-wins argmax would
+// call that class 0 (benign); the server must answer with a typed error
+// and count it instead of returning a verdict.
 TEST(Server, NonFiniteLogitsGetNoVerdict) {
   const auto dir = write_checkpoint("nonfinite", 83);
   serve::ModelRegistry reg;
@@ -447,21 +481,22 @@ TEST(Server, NonFiniteLogitsGetNoVerdict) {
   const auto counted0 = counter.value();
 
   Rng rng(8);
-  const auto program = bingen::generate_program(bingen::Family::kMiraiLike, rng);
+  auto row = synthetic_row(rng);
+  const double kept = row[5];
+  row[5] = 1e308;
   {
-    util::ScopedFault fault(util::faults::kFeatureNaN);
-    auto r = server.detect(program);
-    ASSERT_GE(fault.fired(), 1u);
+    auto r = server.detect(row);
     ASSERT_FALSE(r.is_ok()) << "verdict " << r.value().predicted
-                            << " from a NaN feature";
+                            << " from an overflowing feature";
     EXPECT_EQ(r.status().code(), ErrorCode::kInternal);
   }
   EXPECT_EQ(server.stats().nonfinite_logits, 1u);
   EXPECT_EQ(server.stats().completed, 0u);
   EXPECT_EQ(counter.value(), counted0 + 1);
 
-  // The same program, unfaulted, is served normally.
-  auto clean = server.detect(program);
+  // The same row, in range, is served normally.
+  row[5] = kept;
+  auto clean = server.detect(row);
   ASSERT_TRUE(clean.is_ok()) << clean.status().to_string();
   std::filesystem::remove_all(dir);
 }

@@ -599,6 +599,10 @@ TEST(Transport, CountersMirrorIntoMetricsRegistry) {
   auto r = client.detect(synthetic_row(rng));
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
 
+  // The server counts a reply's bytes after the write that the client may
+  // already have read from, so wait (bounded) for the count to land.
+  EXPECT_TRUE(spin_until(
+      [&] { return rig.transport->stats().bytes_written > 0; }, 2000));
   const auto snap = rig.transport->stats();
   EXPECT_GE(snap.accepted, 1u);
   EXPECT_GE(snap.requests, 1u);
