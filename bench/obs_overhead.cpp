@@ -325,17 +325,9 @@ int main(int argc, char** argv) {
   std::cout << "admin /metrics scrape: " << scrape_ms.size()
             << " scrapes, median " << admin_scrape_ms << " ms\n";
 
-  const bool noop_build =
-#if defined(GEA_OBS_NOOP)
-      true;
-#else
-      false;
-#endif
-
   std::ofstream out("BENCH_obs.json");
   out << "{\n  \"benchmark\": \"obs_overhead\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"noop_build\": " << (noop_build ? "true" : "false") << ",\n"
       << "  \"primitives_ns_per_op\": [\n";
   for (std::size_t i = 0; i < prims.size(); ++i) {
     out << "    {\"name\": \"" << prims[i].name << "\", \"enabled\": "

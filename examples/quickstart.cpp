@@ -1,8 +1,9 @@
 // Quickstart: train the CFG-feature CNN detector on a reduced synthetic
 // corpus, attack it with one gradient attack and one GEA splice, serve the
 // trained model through the batched detection server, and finish with the
-// run's unified observability: one metrics dump (every subsystem reports
-// into obs::MetricsRegistry::global()) plus a Chrome trace of the spans.
+// run's unified observability: one metrics dump (the offline subsystems
+// report into obs::MetricsRegistry::global(), the server into its own
+// registry, merged here) plus a Chrome trace of the spans.
 //
 //   $ ./examples/quickstart [--threads N]
 //
@@ -110,6 +111,7 @@ int main(int argc, char** argv) {
   // 4. Serve the trained detector: persist a checkpoint, load it into a
   //    registry, and push a few test rows through the batched server.
   std::printf("\n== serving the trained detector ==\n");
+  obs::MetricsSnapshot serving;
   {
     const auto ckpt_dir =
         (std::filesystem::temp_directory_path() / "gea_quickstart_ckpt")
@@ -137,16 +139,19 @@ int main(int argc, char** argv) {
           }
         }
         std::printf("%s\n", server.stats().summary().c_str());
+        serving = server.metrics().snapshot();
       }
     }
     std::filesystem::remove_all(ckpt_dir);
   }
 
-  // 5. The run's observability: every subsystem above (pipeline stages,
-  //    training epochs, the attack, serving) reported into the same
-  //    process-wide registry and trace recorder.
+  // 5. The run's observability: the pipeline stages, training epochs and
+  //    the attack reported into the process-wide registry; the server kept
+  //    its serve.* metrics in its own registry, merged in here the way the
+  //    admin plane's /metrics merges it. Spans share one trace recorder.
   std::printf("\n== observability: unified metrics + trace ==\n");
-  const auto snapshot = obs::MetricsRegistry::global().snapshot();
+  auto snapshot = obs::MetricsRegistry::global().snapshot();
+  snapshot.merge(serving);
   std::printf("%s\n", obs::summary(snapshot).c_str());
   std::printf("\n%s\n", obs::span_summary(obs::TraceRecorder::global()).c_str());
 

@@ -123,6 +123,12 @@ const std::vector<double>& default_latency_buckets_ms() {
   return buckets;
 }
 
+void MetricsSnapshot::merge(const MetricsSnapshot& other) {
+  counters.insert(other.counters.begin(), other.counters.end());
+  gauges.insert(other.gauges.begin(), other.gauges.end());
+  histograms.insert(other.histograms.begin(), other.histograms.end());
+}
+
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;

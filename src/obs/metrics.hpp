@@ -1,7 +1,11 @@
-// Process-wide metrics: named counters, gauges, and fixed-bucket
-// histograms behind one registry, so every subsystem (pipeline stages,
-// training epochs, attack crafting, the thread pool, serving) reports into
-// a single exportable surface instead of four disconnected mechanisms.
+// Named counters, gauges, and fixed-bucket histograms behind a registry.
+// The process-wide registry (MetricsRegistry::global()) collects the
+// pipeline stages, training epochs, attack crafting and the thread pool.
+// Each serving component (serve::ServerStats inside a DetectionServer,
+// TransportServer, AdminServer) owns its own instance registry instead:
+// its serve.* / net.* / admin.* instruments are the component's only
+// telemetry store, its stats() snapshot is a view over them, and the admin
+// plane's /metrics merges those registries with the global one.
 //
 // Hot-path contract: Counter::inc and Histogram::observe write one
 // thread-striped, cache-line-padded atomic cell with relaxed ordering —
@@ -10,11 +14,11 @@
 // on a value, and therefore cannot perturb the bitwise-reproducibility
 // guarantees the parallel layer makes.
 //
-// Two off switches:
-//  - compile time: -DGEA_OBS_NOOP compiles the hot-path bodies out entirely
-//    (handles still exist; snapshots are empty-valued);
-//  - run time: set_metrics_enabled(false), one relaxed load on the hot
-//    path, used by bench/obs_overhead to measure the instrumentation cost.
+// Off switch: set_metrics_enabled(false), one relaxed load on the hot
+// path, used by bench/obs_overhead to measure the instrumentation cost. It
+// stops every registry from counting, instance registries included, so
+// while it is off the serving components' stats() snapshots stop moving
+// too.
 #pragma once
 
 #include <atomic>
@@ -71,12 +75,8 @@ bool metrics_enabled();
 class Counter {
  public:
   void inc(std::uint64_t n = 1) {
-#if !defined(GEA_OBS_NOOP)
     if (!detail::enabled()) return;
     cells_[detail::shard_index()].v.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   /// Sum over stripes. Relaxed: concurrent increments may or may not be
@@ -94,21 +94,13 @@ class Counter {
 class Gauge {
  public:
   void set(double v) {
-#if !defined(GEA_OBS_NOOP)
     if (!detail::enabled()) return;
     v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   void add(double d) {
-#if !defined(GEA_OBS_NOOP)
     if (!detail::enabled()) return;
     detail::atomic_add(v_, d);
-#else
-    (void)d;
-#endif
   }
 
   double value() const { return v_.load(std::memory_order_relaxed); }
@@ -144,9 +136,12 @@ struct HistogramSnapshot {
   double mean() const {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
   }
-  /// Bucket-interpolated quantile estimate, q in [0,1]. Coarse by design —
-  /// exact percentiles stay with util::LatencyRecorder; this answers "which
-  /// decade" from mergeable fixed buckets.
+  /// Bucket-interpolated quantile estimate, q in [0,1]: linear within the
+  /// bucket that holds the q-th observation, so the error is bounded by
+  /// that bucket's width. quantile(1.0) is the top non-empty bucket's upper
+  /// edge (the lower edge when that is the overflow bucket). With
+  /// consecutive integer bounds and integer observations each bucket holds
+  /// one value, so the bucket counts are exact.
   double quantile(double q) const;
 };
 
@@ -155,28 +150,19 @@ struct HistogramSnapshot {
 class Histogram {
  public:
   void observe(double v) {
-#if !defined(GEA_OBS_NOOP)
     if (!detail::enabled()) return;
     Shard& s = *shards_[detail::shard_index()];
     s.buckets[bucket_for(v)].v.fetch_add(1, std::memory_order_relaxed);
     s.count.fetch_add(1, std::memory_order_relaxed);
     detail::atomic_add(s.sum, v);
-#else
-    (void)v;
-#endif
   }
 
   /// observe() plus an exemplar: when `trace_id` is nonzero the observation
   /// competes (under a mutex — only sampled requests pay it) to become its
   /// bucket's exported exemplar. Untraced calls are exactly observe().
   void observe(double v, std::uint64_t trace_id) {
-#if !defined(GEA_OBS_NOOP)
     observe(v);
     if (trace_id != 0 && detail::enabled()) record_exemplar(v, trace_id);
-#else
-    (void)v;
-    (void)trace_id;
-#endif
   }
 
   const std::vector<double>& bounds() const { return bounds_; }
@@ -217,6 +203,11 @@ struct MetricsSnapshot {
   bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
+
+  /// Add `other`'s metrics. A name already present keeps its value: the
+  /// registries merged into one export own disjoint name prefixes, so this
+  /// is an insert, never a sum.
+  void merge(const MetricsSnapshot& other);
 };
 
 /// Name -> metric registry. Handles are created on first lookup, live for
@@ -229,7 +220,8 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry every built-in instrumentation site uses.
+  /// The process-wide registry. Serving components own instance registries
+  /// instead (see the header comment).
   static MetricsRegistry& global();
 
   Counter& counter(const std::string& name);

@@ -155,13 +155,11 @@ TraceSpan::TraceSpan(std::string name, TraceRecorder& recorder)
     : name_(std::move(name)),
       recorder_(&recorder),
       start_(std::chrono::steady_clock::now()) {
-#if !defined(GEA_OBS_NOOP)
   start_us_ = recorder_->now_us();
   depth_ = static_cast<std::uint32_t>(t_span_stack.size());
   t_span_stack.push_back(this);
   open_ = true;
   on_stack_ = true;
-#endif
 }
 
 TraceSpan::TraceSpan(std::string name, const TraceContext& ctx,
@@ -169,7 +167,6 @@ TraceSpan::TraceSpan(std::string name, const TraceContext& ctx,
     : name_(std::move(name)),
       recorder_(&recorder),
       start_(std::chrono::steady_clock::now()) {
-#if !defined(GEA_OBS_NOOP)
   start_us_ = recorder_->now_us();
   // Explicit-context spans stay off the thread-local stack: their parent
   // is the context, and they may be closed on a different thread.
@@ -180,9 +177,6 @@ TraceSpan::TraceSpan(std::string name, const TraceContext& ctx,
     sampled_ = ctx.sampled;
     span_id_ = new_span_id();
   }
-#else
-  (void)ctx;
-#endif
 }
 
 TraceSpan::~TraceSpan() { close(); }

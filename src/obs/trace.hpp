@@ -29,8 +29,7 @@
 // Unbalanced usage (a heap-held span destroyed out of LIFO order, or a
 // span crossing a thread boundary) degrades gracefully: the stack entry is
 // unlinked from wherever it sits and depths stay consistent for the
-// remaining spans. Under GEA_OBS_NOOP spans still measure elapsed time
-// (callers use them as stopwatches) but record nothing.
+// remaining spans.
 #pragma once
 
 #include <atomic>
@@ -151,8 +150,8 @@ class TraceRecorder {
 };
 
 /// RAII span. Construct to open, destroy (or close()) to record. Also
-/// usable as a plain stopwatch via elapsed_ms(), which keeps working under
-/// GEA_OBS_NOOP and after close().
+/// usable as a plain stopwatch via elapsed_ms(), which keeps working after
+/// close().
 ///
 /// Two parenting modes:
 ///  - thread-local (the classic constructor): parent/depth come from the

@@ -77,25 +77,19 @@ struct AdminServer::Impl {
   std::atomic<bool> stop_requested{false};
   std::atomic<bool> loop_running{false};
 
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> accept_failures{0};
-  std::atomic<std::uint64_t> slow_clients{0};
-
-  obs::Counter* m_requests;
-  obs::Counter* m_accept_failures;
-  obs::Counter* m_slow_clients;
+  // The admin plane's own telemetry store (admin.*); stats() is a view.
+  obs::MetricsRegistry metrics;
+  obs::Counter& m_requests = metrics.counter("admin.requests_total");
+  obs::Counter& m_accept_failures =
+      metrics.counter("admin.accept_failures_total");
+  obs::Counter& m_slow_clients = metrics.counter("admin.slow_clients_total");
 
   util::Stopwatch uptime;
   std::vector<std::unique_ptr<AConn>> conns;
   util::ThreadPool io_pool{1};
 
   Impl(AdminServer& s, const AdminConfig& cfg, AdminHooks h)
-      : self(s), config(cfg), hooks(h) {
-    auto& reg = obs::MetricsRegistry::global();
-    m_requests = &reg.counter("admin.requests_total");
-    m_accept_failures = &reg.counter("admin.accept_failures_total");
-    m_slow_clients = &reg.counter("admin.slow_clients_total");
-  }
+      : self(s), config(cfg), hooks(h) {}
 
   void close_conn(AConn& conn) {
     if (conn.dead) return;
@@ -109,15 +103,13 @@ struct AdminServer::Impl {
           util::fault(util::faults::kAdminAcceptFail)) {
         // Synthesized transient accept failure: the pending scrape stays in
         // the backlog and the next poll round retries it.
-        accept_failures.fetch_add(1, std::memory_order_relaxed);
-        m_accept_failures->inc();
+        m_accept_failures.inc();
         break;
       }
       auto res = listener.accept_one();
       if (res.would_block) break;
       if (!res.status.is_ok()) {
-        accept_failures.fetch_add(1, std::memory_order_relaxed);
-        m_accept_failures->inc();
+        m_accept_failures.inc();
         break;
       }
       auto conn = std::make_unique<AConn>();
@@ -167,8 +159,7 @@ struct AdminServer::Impl {
     if (conn.responded || conn.dead) return;
     conn.responded = true;
     conn.wbuf = render_http(r);
-    requests.fetch_add(1, std::memory_order_relaxed);
-    m_requests->inc();
+    m_requests.inc();
     conn.age.reset();  // the write deadline starts at response time
   }
 
@@ -198,8 +189,7 @@ struct AdminServer::Impl {
       const double limit =
           conn->responded ? config.write_timeout_ms : config.read_timeout_ms;
       if (conn->age.elapsed_ms() > limit) {
-        slow_clients.fetch_add(1, std::memory_order_relaxed);
-        m_slow_clients->inc();
+        m_slow_clients.inc();
         util::log_warn("admin: closing slow client (",
                        conn->responded ? "response stalled" : "request stalled",
                        " after ", conn->age.elapsed_ms(), " ms)");
@@ -304,10 +294,14 @@ const AdminConfig& AdminServer::config() const { return impl_->config; }
 
 AdminSnapshot AdminServer::stats() const {
   AdminSnapshot s;
-  s.requests = impl_->requests.load(std::memory_order_relaxed);
-  s.accept_failures = impl_->accept_failures.load(std::memory_order_relaxed);
-  s.slow_clients = impl_->slow_clients.load(std::memory_order_relaxed);
+  s.requests = impl_->m_requests.value();
+  s.accept_failures = impl_->m_accept_failures.value();
+  s.slow_clients = impl_->m_slow_clients.value();
   return s;
+}
+
+const obs::MetricsRegistry& AdminServer::metrics() const {
+  return impl_->metrics;
 }
 
 AdminServer::Response AdminServer::handle(const std::string& method,
@@ -322,9 +316,18 @@ AdminServer::Response AdminServer::handle(const std::string& method,
       qpos == std::string::npos ? std::string() : target.substr(qpos + 1);
 
   if (path == "/metrics") {
-    return Response{
-        200, "text/plain; version=0.0.4; charset=utf-8",
-        obs::to_prometheus(obs::MetricsRegistry::global().snapshot())};
+    // The process-wide registry plus each serving component's own one.
+    // Their names are disjoint by prefix, so merging is an insert.
+    auto snap = obs::MetricsRegistry::global().snapshot();
+    snap.merge(impl_->metrics.snapshot());
+    if (impl_->hooks.server != nullptr) {
+      snap.merge(impl_->hooks.server->metrics().snapshot());
+    }
+    if (impl_->hooks.transport != nullptr) {
+      snap.merge(impl_->hooks.transport->metrics().snapshot());
+    }
+    return Response{200, "text/plain; version=0.0.4; charset=utf-8",
+                    obs::to_prometheus(snap)};
   }
   if (path == "/healthz") {
     return Response{200, "text/plain; charset=utf-8", "ok\n"};

@@ -3,8 +3,10 @@
 // transport) that exposes the process's observability surface while it
 // serves traffic:
 //
-//   GET /metrics  Prometheus exposition of the global MetricsRegistry,
-//                 histogram buckets carrying exemplar trace ids.
+//   GET /metrics  Prometheus exposition of the global MetricsRegistry
+//                 merged with the admin plane's own admin.* registry and
+//                 the hooked server's serve.* and transport's net.*
+//                 registries; histogram buckets carry exemplar trace ids.
 //   GET /healthz  liveness: 200 as long as the process responds at all.
 //   GET /readyz   readiness: 200 only when a model is active, the
 //                 transport (when attached) is accepting and not draining,
@@ -30,6 +32,10 @@
 #include <string>
 
 #include "util/status.hpp"
+
+namespace gea::obs {
+class MetricsRegistry;
+}  // namespace gea::obs
 
 namespace gea::serve {
 
@@ -63,7 +69,8 @@ struct AdminHooks {
   SloMonitor* slo = nullptr;
 };
 
-/// Counters for tests (all monotonic).
+/// Point-in-time view of the admin plane's admin.* counters (all
+/// monotonic).
 struct AdminSnapshot {
   std::uint64_t requests = 0;         // HTTP requests answered
   std::uint64_t accept_failures = 0;  // transient accept() failures
@@ -87,6 +94,8 @@ class AdminServer {
   std::uint16_t port() const;
   const AdminConfig& config() const;
   AdminSnapshot stats() const;
+  /// The admin plane's admin.* registry, the store stats() is a view over.
+  const obs::MetricsRegistry& metrics() const;
 
   /// One computed HTTP response, socket-free.
   struct Response {

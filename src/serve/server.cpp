@@ -25,7 +25,8 @@ DetectionServer::DetectionServer(ModelRegistry& registry,
       feature_cache_(config.feature_cache_capacity == 0
                          ? nullptr
                          : std::make_shared<features::FeatureCache>(
-                               config.feature_cache_capacity)) {
+                               config.feature_cache_capacity)),
+      stats_(config.max_batch) {
   if (config_.workers == 0) config_.workers = util::default_thread_count();
   if (config_.max_batch == 0) config_.max_batch = 1;
   workers_.reserve(config_.workers);
@@ -281,15 +282,8 @@ void DetectionServer::process_batch(std::vector<Request>& batch) {
   }
 
   ml::ModelClassifier clf(*t_replica.model, dim, ckpt.spec().num_classes());
-  std::vector<std::vector<double>> logits;
   util::Stopwatch infer_sw;
-  if (config_.max_batch == 1) {
-    // Unbatched baseline: the legacy per-sample forward path.
-    logits.reserve(xs.size());
-    for (const auto& x : xs) logits.push_back(clf.logits(x));
-  } else {
-    logits = clf.logits_batch(xs);
-  }
+  auto logits = clf.logits_batch(xs);
   const double infer_ms = infer_sw.elapsed_ms();
   stats_.on_batch(live.size());
 

@@ -45,8 +45,8 @@ struct ServerConfig {
   std::size_t workers = 0;
   /// Bounded queue capacity; pushes beyond this reject with kUnavailable.
   std::size_t queue_capacity = 256;
-  /// Micro-batch ceiling. 1 disables batching entirely (each request runs
-  /// the legacy per-sample Model::forward path — the bench's unbatched
+  /// Micro-batch ceiling. 1 disables batching: each request runs alone
+  /// through the same batched inference call (bench/serve_load's unbatched
   /// baseline).
   std::size_t max_batch = 16;
   /// How long a worker lingers for stragglers after the first dequeue.
@@ -124,6 +124,8 @@ class DetectionServer {
   ModelRegistry& registry() { return registry_; }
   std::size_t queue_depth() const { return queue_.size(); }
   StatsSnapshot stats() const { return stats_.snapshot(queue_.size()); }
+  /// This server's serve.* registry, the store stats() is a view over.
+  const obs::MetricsRegistry& metrics() const { return stats_.metrics(); }
   /// The server-lifetime feature cache (null when disabled).
   const std::shared_ptr<features::FeatureCache>& feature_cache() const {
     return feature_cache_;

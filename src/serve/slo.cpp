@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -110,24 +111,9 @@ SloSnapshot SloMonitor::evaluate(double now_s) {
   if (snap.requests > 0) {
     snap.error_fraction =
         static_cast<double>(snap.errors) / static_cast<double>(snap.requests);
-    // Interpolated p99 over the merged window histogram, mirroring
-    // obs::HistogramSnapshot::quantile.
-    const double target = 0.99 * static_cast<double>(snap.requests);
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < merged.size(); ++b) {
-      const std::uint64_t prev = cumulative;
-      cumulative += merged[b];
-      if (static_cast<double>(cumulative) < target) continue;
-      const double lo = b == 0 ? 0.0 : bounds_[b - 1];
-      if (b >= bounds_.size() || merged[b] == 0) {
-        snap.p99_ms = b >= bounds_.size() ? lo : bounds_[b];
-      } else {
-        const double frac = (target - static_cast<double>(prev)) /
-                            static_cast<double>(merged[b]);
-        snap.p99_ms = lo + frac * (bounds_[b] - lo);
-      }
-      break;
-    }
+    snap.p99_ms = obs::HistogramSnapshot{bounds_, std::move(merged), {},
+                                         snap.requests, 0.0}
+                      .quantile(0.99);
   }
   snap.burn_rate = config_.max_error_fraction > 0.0
                        ? snap.error_fraction / config_.max_error_fraction

@@ -1,9 +1,9 @@
 #include "serve/stats.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
-
-#include "obs/metrics.hpp"
+#include <vector>
 
 namespace gea::serve {
 
@@ -34,93 +34,61 @@ std::string StatsSnapshot::summary() const {
   return os.str();
 }
 
-ServerStats::ServerStats() {
-  auto& reg = obs::MetricsRegistry::global();
-  reg_.submitted = &reg.counter("serve.submitted_total");
-  reg_.accepted = &reg.counter("serve.accepted_total");
-  reg_.rejected_full = &reg.counter("serve.rejected_full_total");
-  reg_.rejected_invalid = &reg.counter("serve.rejected_invalid_total");
-  reg_.rejected_no_model = &reg.counter("serve.rejected_no_model_total");
-  reg_.expired = &reg.counter("serve.expired_total");
-  reg_.nonfinite_logits = &reg.counter("serve.nonfinite_logits");
-  reg_.completed = &reg.counter("serve.completed_total");
-  reg_.batches = &reg.counter("serve.batches_total");
-  reg_.batch_size =
-      &reg.histogram("serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128});
-  reg_.queue_ms = &reg.histogram("serve.queue_ms");
-  reg_.infer_ms = &reg.histogram("serve.infer_ms");
-  reg_.total_ms = &reg.histogram("serve.total_ms");
+namespace {
+
+util::LatencySummary summarize(const obs::Histogram& h) {
+  const auto s = h.snapshot();
+  return {s.count,         s.mean(),         s.quantile(0.5),
+          s.quantile(0.95), s.quantile(0.99), s.quantile(1.0)};
 }
 
-void ServerStats::on_submitted() {
-  reg_.submitted->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.submitted;
+std::vector<double> batch_bounds(std::size_t max_batch) {
+  std::vector<double> bounds(std::max<std::size_t>(max_batch, 1));
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    bounds[i] = static_cast<double>(i + 1);
+  }
+  return bounds;
 }
 
-void ServerStats::on_accepted() {
-  reg_.accepted->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.accepted;
-}
+}  // namespace
 
-void ServerStats::on_rejected_full() {
-  reg_.rejected_full->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.rejected_full;
-}
-
-void ServerStats::on_rejected_invalid() {
-  reg_.rejected_invalid->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.rejected_invalid;
-}
-
-void ServerStats::on_rejected_no_model() {
-  reg_.rejected_no_model->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.rejected_no_model;
-}
-
-void ServerStats::on_expired() {
-  reg_.expired->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.expired;
-}
-
-void ServerStats::on_nonfinite_logits() {
-  reg_.nonfinite_logits->inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.nonfinite_logits;
-}
-
-void ServerStats::on_batch(std::size_t batch_size) {
-  reg_.batches->inc();
-  reg_.batch_size->observe(static_cast<double>(batch_size));
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.batches;
-  ++counts_.batch_sizes[batch_size];
-}
-
-void ServerStats::on_completed(double queue_ms, double infer_ms,
-                               double total_ms, std::uint64_t trace_id) {
-  reg_.completed->inc();
-  reg_.queue_ms->observe(queue_ms, trace_id);
-  reg_.infer_ms->observe(infer_ms, trace_id);
-  reg_.total_ms->observe(total_ms, trace_id);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_.completed;
-  queue_ms_.record(queue_ms);
-  infer_ms_.record(infer_ms);
-  total_ms_.record(total_ms);
-}
+ServerStats::ServerStats(std::size_t max_batch)
+    : submitted_(registry_.counter("serve.submitted_total")),
+      accepted_(registry_.counter("serve.accepted_total")),
+      rejected_full_(registry_.counter("serve.rejected_full_total")),
+      rejected_invalid_(registry_.counter("serve.rejected_invalid_total")),
+      rejected_no_model_(registry_.counter("serve.rejected_no_model_total")),
+      expired_(registry_.counter("serve.expired_total")),
+      nonfinite_logits_(registry_.counter("serve.nonfinite_logits")),
+      completed_(registry_.counter("serve.completed_total")),
+      batches_(registry_.counter("serve.batches_total")),
+      batch_size_(
+          registry_.histogram("serve.batch_size", batch_bounds(max_batch))),
+      queue_ms_(registry_.histogram("serve.queue_ms")),
+      infer_ms_(registry_.histogram("serve.infer_ms")),
+      total_ms_(registry_.histogram("serve.total_ms")) {}
 
 StatsSnapshot ServerStats::snapshot(std::size_t queue_depth) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  StatsSnapshot snap = counts_;
-  snap.queue_ms = queue_ms_.summarize();
-  snap.infer_ms = infer_ms_.summarize();
-  snap.total_ms = total_ms_.summarize();
+  StatsSnapshot snap;
+  snap.submitted = submitted_.value();
+  snap.accepted = accepted_.value();
+  snap.rejected_full = rejected_full_.value();
+  snap.rejected_invalid = rejected_invalid_.value();
+  snap.rejected_no_model = rejected_no_model_.value();
+  snap.expired = expired_.value();
+  snap.nonfinite_logits = nonfinite_logits_.value();
+  snap.completed = completed_.value();
+  snap.batches = batches_.value();
+  // One integer bucket per size: bucket i counts batches of size bounds[i].
+  const auto sizes = batch_size_.snapshot();
+  for (std::size_t i = 0; i < sizes.bounds.size(); ++i) {
+    if (sizes.buckets[i] == 0) continue;
+    snap.batch_sizes[static_cast<std::size_t>(sizes.bounds[i])] =
+        sizes.buckets[i];
+  }
+  snap.queue_ms = summarize(queue_ms_);
+  snap.infer_ms = summarize(infer_ms_);
+  snap.total_ms = summarize(total_ms_);
   snap.elapsed_s = started_.elapsed_ms() / 1000.0;
   snap.qps = snap.elapsed_s > 0.0
                  ? static_cast<double>(snap.completed) / snap.elapsed_s

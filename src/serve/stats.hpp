@@ -1,20 +1,16 @@
 // Serving-side observability, exported in the PipelineReport style: a
 // snapshot struct the caller can assert on plus a one-paragraph human
-// summary() for logs and demos.
+// summary() for logs and demos. The snapshot is a view over the server's
+// own metrics registry (see ServerStats).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
-
-namespace gea::obs {
-class Counter;
-class Histogram;
-}  // namespace gea::obs
 
 namespace gea::serve {
 
@@ -35,7 +31,8 @@ struct StatsSnapshot {
   std::uint64_t batches = 0;         // inference calls issued
   std::map<std::size_t, std::uint64_t> batch_sizes;  // batch-size histogram
 
-  // Latency percentiles (ms).
+  // Latency summaries (ms): count and mean exact, percentiles and max
+  // estimated from the histogram buckets.
   util::LatencySummary queue_ms;   // submit -> dequeue
   util::LatencySummary infer_ms;   // batch forward, attributed per request
   util::LatencySummary total_ms;   // submit -> verdict
@@ -61,60 +58,68 @@ struct StatsSnapshot {
   std::string summary() const;
 };
 
-/// Thread-safe accumulator behind the snapshot. One mutex guards counters
-/// and the latency recorders; the serving hot path takes it twice per
-/// request (admission, completion) which is noise next to a CNN forward.
+/// Serving telemetry for one DetectionServer. Its only store is its own
+/// obs::MetricsRegistry (serve.* names): each event is recorded once, in
+/// its instruments there — wait-free striped atomics, no lock, no
+/// allocation — and snapshot() is an O(buckets) view over them. The admin
+/// plane's /metrics exports the same registry, so the two cannot disagree.
 ///
-/// Every event is also published to obs::MetricsRegistry::global() under
-/// "serve.*" (handles resolved once at construction), so serving shares the
-/// process-wide exportable surface with the pipeline, trainer, and attacks.
+/// Exactness: the counters, batch_sizes and mean_batch() are exact
+/// (serve.batch_size has one integer bucket per size 1..max_batch). For
+/// queue_ms/infer_ms/total_ms the count and mean are exact; p50/p95/p99
+/// and max are bucket estimates over obs::default_latency_buckets_ms(), the
+/// same numbers /metrics renders. obs::set_metrics_enabled(false) stops the
+/// counting, so the snapshot stands still while metrics are off.
 class ServerStats {
  public:
-  ServerStats();
+  /// `max_batch` is the largest size on_batch() will be handed (0 counts
+  /// as 1, as in ServerConfig).
+  explicit ServerStats(std::size_t max_batch = 16);
 
-  void on_submitted();
-  void on_accepted();
-  void on_rejected_full();
-  void on_rejected_invalid();
-  void on_rejected_no_model();
-  void on_expired();
-  void on_nonfinite_logits();
-  void on_batch(std::size_t batch_size);
+  void on_submitted() { submitted_.inc(); }
+  void on_accepted() { accepted_.inc(); }
+  void on_rejected_full() { rejected_full_.inc(); }
+  void on_rejected_invalid() { rejected_invalid_.inc(); }
+  void on_rejected_no_model() { rejected_no_model_.inc(); }
+  void on_expired() { expired_.inc(); }
+  void on_nonfinite_logits() { nonfinite_logits_.inc(); }
+  /// One inference pass over `batch_size` requests (1..max_batch).
+  void on_batch(std::size_t batch_size) {
+    batches_.inc();
+    batch_size_.observe(static_cast<double>(batch_size));
+  }
   /// `trace_id` (when nonzero) becomes an exemplar candidate on the
-  /// serve.queue_ms/infer_ms/total_ms registry histograms, linking the
-  /// Prometheus export back to the request's /tracez entry.
+  /// serve.queue_ms/infer_ms/total_ms histograms, linking the Prometheus
+  /// export back to the request's /tracez entry.
   void on_completed(double queue_ms, double infer_ms, double total_ms,
-                    std::uint64_t trace_id = 0);
+                    std::uint64_t trace_id = 0) {
+    completed_.inc();
+    queue_ms_.observe(queue_ms, trace_id);
+    infer_ms_.observe(infer_ms, trace_id);
+    total_ms_.observe(total_ms, trace_id);
+  }
 
   StatsSnapshot snapshot(std::size_t queue_depth = 0) const;
 
- private:
-  mutable std::mutex mu_;
-  StatsSnapshot counts_;  // latency summaries unused here; recorders below
-  util::LatencyRecorder queue_ms_;
-  util::LatencyRecorder infer_ms_;
-  util::LatencyRecorder total_ms_;
-  util::Stopwatch started_;
+  /// This server's registry (what /metrics exports for it).
+  const obs::MetricsRegistry& metrics() const { return registry_; }
 
-  // Registry mirrors ("serve.*"), shared across ServerStats instances by
-  // design: the registry aggregates the process, the snapshot isolates the
-  // server.
-  struct Registry {
-    obs::Counter* submitted;
-    obs::Counter* accepted;
-    obs::Counter* rejected_full;
-    obs::Counter* rejected_invalid;
-    obs::Counter* rejected_no_model;
-    obs::Counter* expired;
-    obs::Counter* nonfinite_logits;
-    obs::Counter* completed;
-    obs::Counter* batches;
-    obs::Histogram* batch_size;
-    obs::Histogram* queue_ms;
-    obs::Histogram* infer_ms;
-    obs::Histogram* total_ms;
-  };
-  Registry reg_{};
+ private:
+  obs::MetricsRegistry registry_;
+  obs::Counter& submitted_;
+  obs::Counter& accepted_;
+  obs::Counter& rejected_full_;
+  obs::Counter& rejected_invalid_;
+  obs::Counter& rejected_no_model_;
+  obs::Counter& expired_;
+  obs::Counter& nonfinite_logits_;
+  obs::Counter& completed_;
+  obs::Counter& batches_;
+  obs::Histogram& batch_size_;
+  obs::Histogram& queue_ms_;
+  obs::Histogram& infer_ms_;
+  obs::Histogram& total_ms_;
+  util::Stopwatch started_;
 };
 
 }  // namespace gea::serve

@@ -199,29 +199,28 @@ struct TransportServer::Impl {
   std::atomic<bool> loop_running{false};
   std::atomic<bool> drain_active{false};
 
-  struct Counters {
-    std::atomic<std::uint64_t> accepted{0}, closed{0}, accept_failures{0},
-        frames_read{0}, frames_written{0}, bytes_read{0}, bytes_written{0},
-        quarantined{0}, shed{0}, idle_timeouts{0}, read_timeouts{0},
-        requests{0}, responses_ok{0}, responses_error{0};
-    std::atomic<std::size_t> active{0};
-  } c;
-
-  // Registry mirrors ("net.*"), resolved once; shared across instances by
-  // design (the registry aggregates the process, stats() isolates this
-  // server).
-  obs::Counter* m_accepted;
-  obs::Counter* m_closed;
-  obs::Counter* m_accept_failures;
-  obs::Counter* m_frames_read;
-  obs::Counter* m_frames_written;
-  obs::Counter* m_quarantined;
-  obs::Counter* m_shed;
-  obs::Counter* m_idle_timeouts;
-  obs::Counter* m_read_timeouts;
-  obs::Counter* m_requests;
-  obs::Gauge* m_active;
-  obs::Histogram* m_request_ms;
+  // This transport's only telemetry store (net.*); stats() is a view over
+  // it and the admin plane's /metrics exports it.
+  obs::MetricsRegistry metrics;
+  obs::Counter& m_accepted = metrics.counter("net.connections_accepted_total");
+  obs::Counter& m_closed = metrics.counter("net.connections_closed_total");
+  obs::Counter& m_accept_failures =
+      metrics.counter("net.accept_failures_total");
+  obs::Counter& m_frames_read = metrics.counter("net.frames_read_total");
+  obs::Counter& m_frames_written = metrics.counter("net.frames_written_total");
+  obs::Counter& m_bytes_read = metrics.counter("net.bytes_read_total");
+  obs::Counter& m_bytes_written = metrics.counter("net.bytes_written_total");
+  obs::Counter& m_quarantined =
+      metrics.counter("net.frames_quarantined_total");
+  obs::Counter& m_shed = metrics.counter("net.requests_shed_total");
+  obs::Counter& m_idle_timeouts = metrics.counter("net.idle_timeouts_total");
+  obs::Counter& m_read_timeouts = metrics.counter("net.read_timeouts_total");
+  obs::Counter& m_requests = metrics.counter("net.requests_total");
+  obs::Counter& m_responses_ok = metrics.counter("net.responses_ok_total");
+  obs::Counter& m_responses_error =
+      metrics.counter("net.responses_error_total");
+  obs::Gauge& m_active = metrics.gauge("net.active_connections");
+  obs::Histogram& m_request_ms = metrics.histogram("net.request_ms");
 
   std::vector<std::unique_ptr<Conn>> conns;
 
@@ -230,28 +229,13 @@ struct TransportServer::Impl {
   util::ThreadPool io_pool{1};
 
   Impl(DetectionServer& s, const TransportConfig& cfg)
-      : server(s), config(cfg) {
-    auto& reg = obs::MetricsRegistry::global();
-    m_accepted = &reg.counter("net.connections_accepted_total");
-    m_closed = &reg.counter("net.connections_closed_total");
-    m_accept_failures = &reg.counter("net.accept_failures_total");
-    m_frames_read = &reg.counter("net.frames_read_total");
-    m_frames_written = &reg.counter("net.frames_written_total");
-    m_quarantined = &reg.counter("net.frames_quarantined_total");
-    m_shed = &reg.counter("net.requests_shed_total");
-    m_idle_timeouts = &reg.counter("net.idle_timeouts_total");
-    m_read_timeouts = &reg.counter("net.read_timeouts_total");
-    m_requests = &reg.counter("net.requests_total");
-    m_active = &reg.gauge("net.active_connections");
-    m_request_ms = &reg.histogram("net.request_ms");
-  }
+      : server(s), config(cfg) {}
 
   void close_conn(Conn& conn) {
     if (conn.dead) return;
     conn.dead = true;
     conn.sock.close();
-    c.closed.fetch_add(1, std::memory_order_relaxed);
-    m_closed->inc();
+    m_closed.inc();
   }
 
   /// Append an encoded frame to the connection's write buffer, enforcing
@@ -260,8 +244,7 @@ struct TransportServer::Impl {
   void enqueue_frame(Conn& conn, const net::Frame& frame) {
     const auto bytes = net::encode_frame(frame, config.fault_injection);
     conn.wbuf.insert(conn.wbuf.end(), bytes.begin(), bytes.end());
-    c.frames_written.fetch_add(1, std::memory_order_relaxed);
-    m_frames_written->inc();
+    m_frames_written.inc();
     if (conn.wbuf_pending() > 2 * config.write_buffer_limit) {
       util::log_warn("net: closing connection over hard write-buffer cap (",
                      conn.wbuf_pending(), " bytes pending)");
@@ -278,9 +261,9 @@ struct TransportServer::Impl {
     f.payload = encode_detect_response_payload(result, payload_version);
     enqueue_frame(conn, f);
     if (result.is_ok()) {
-      c.responses_ok.fetch_add(1, std::memory_order_relaxed);
+      m_responses_ok.inc();
     } else {
-      c.responses_error.fetch_add(1, std::memory_order_relaxed);
+      m_responses_error.inc();
     }
   }
 
@@ -291,8 +274,7 @@ struct TransportServer::Impl {
   }
 
   void shed(Conn& conn, std::uint64_t id, const char* why) {
-    c.shed.fetch_add(1, std::memory_order_relaxed);
-    m_shed->inc();
+    m_shed.inc();
     // A shed request never reached the queue; it still consumed error
     // budget from the client's point of view.
     if (config.slo != nullptr) config.slo->record(0.0, /*ok=*/false);
@@ -304,8 +286,7 @@ struct TransportServer::Impl {
   /// stream cannot be resynchronized).
   void quarantine(Conn& conn, std::uint64_t id, const Status& status,
                   bool recoverable) {
-    c.quarantined.fetch_add(1, std::memory_order_relaxed);
-    m_quarantined->inc();
+    m_quarantined.inc();
     if (config.slo != nullptr) config.slo->record(0.0, /*ok=*/false);
     util::log_warn("net: quarantined frame: ", status.to_string());
     if (!recoverable || config.strict) {
@@ -324,8 +305,7 @@ struct TransportServer::Impl {
                  /*recoverable=*/true);
       return;
     }
-    c.requests.fetch_add(1, std::memory_order_relaxed);
-    m_requests->inc();
+    m_requests.inc();
 
     // Per-connection admission control, layered in front of the queue's
     // global admission control: shed instead of buffering unboundedly.
@@ -382,7 +362,7 @@ struct TransportServer::Impl {
       if (io.would_block) break;
       conn.rbuf.insert(conn.rbuf.end(), chunk, chunk + io.bytes);
       round += io.bytes;
-      c.bytes_read.fetch_add(io.bytes, std::memory_order_relaxed);
+      m_bytes_read.inc(io.bytes);
       conn.idle.reset();
       if (io.bytes < sizeof(chunk)) break;  // likely drained
     }
@@ -400,8 +380,7 @@ struct TransportServer::Impl {
         if (conn.dead) break;
         continue;
       }
-      c.frames_read.fetch_add(1, std::memory_order_relaxed);
-      m_frames_read->inc();
+      m_frames_read.inc();
       dispatch_frame(conn, std::move(res.frame));
     }
     if (off > 0) conn.rbuf.erase(conn.rbuf.begin(), conn.rbuf.begin() + off);
@@ -437,7 +416,7 @@ struct TransportServer::Impl {
                 std::to_string(result.value().schema_digest)));
       }
       const double ms = it->since.elapsed_ms();
-      m_request_ms->observe(ms, it->ctx.trace_id);
+      m_request_ms.observe(ms, it->ctx.trace_id);
       if (it->ctx.valid()) {
         // Server-side wall time for the request (receipt -> response
         // enqueued), parented under the client's send span.
@@ -461,7 +440,7 @@ struct TransportServer::Impl {
         return;
       }
       conn.woff += io.bytes;
-      c.bytes_written.fetch_add(io.bytes, std::memory_order_relaxed);
+      m_bytes_written.inc(io.bytes);
       conn.idle.reset();
     }
     if (conn.wbuf_pending() == 0 && !conn.wbuf.empty()) {
@@ -481,22 +460,19 @@ struct TransportServer::Impl {
       auto res = listener.accept_one();
       if (res.would_block) break;
       if (!res.status.is_ok()) {
-        c.accept_failures.fetch_add(1, std::memory_order_relaxed);
-        m_accept_failures->inc();
+        m_accept_failures.inc();
         break;  // retry on the next poll round
       }
       if (conns.size() >= config.max_connections) {
         // Admission control for connection storms: accept to drain the
         // backlog, then close immediately — counted, bounded, no hang.
-        c.shed.fetch_add(1, std::memory_order_relaxed);
-        m_shed->inc();
+        m_shed.inc();
         continue;  // res.socket closes on scope exit
       }
       auto conn = std::make_unique<Conn>();
       conn->sock = std::move(res.socket);
       conns.push_back(std::move(conn));
-      c.accepted.fetch_add(1, std::memory_order_relaxed);
-      m_accepted->inc();
+      m_accepted.inc();
     }
   }
 
@@ -505,8 +481,7 @@ struct TransportServer::Impl {
       if (conn->dead) continue;
       if (conn->has_partial &&
           conn->partial.elapsed_ms() > config.read_timeout_ms) {
-        c.read_timeouts.fetch_add(1, std::memory_order_relaxed);
-        m_read_timeouts->inc();
+        m_read_timeouts.inc();
         util::log_warn("net: closing slow-loris connection (partial frame ",
                        conn->partial.elapsed_ms(), " ms old)");
         close_conn(*conn);
@@ -514,8 +489,7 @@ struct TransportServer::Impl {
       }
       if (conn->inflight.empty() &&
           conn->idle.elapsed_ms() > config.idle_timeout_ms) {
-        c.idle_timeouts.fetch_add(1, std::memory_order_relaxed);
-        m_idle_timeouts->inc();
+        m_idle_timeouts.inc();
         close_conn(*conn);
       }
     }
@@ -525,8 +499,7 @@ struct TransportServer::Impl {
     std::erase_if(conns, [](const std::unique_ptr<Conn>& conn) {
       return conn->dead;
     });
-    c.active.store(conns.size(), std::memory_order_relaxed);
-    m_active->set(static_cast<double>(conns.size()));
+    m_active.set(static_cast<double>(conns.size()));
   }
 
   void loop() {
@@ -622,21 +595,21 @@ struct TransportServer::Impl {
 
   TransportSnapshot snapshot() const {
     TransportSnapshot s;
-    s.accepted = c.accepted.load(std::memory_order_relaxed);
-    s.closed = c.closed.load(std::memory_order_relaxed);
-    s.accept_failures = c.accept_failures.load(std::memory_order_relaxed);
-    s.frames_read = c.frames_read.load(std::memory_order_relaxed);
-    s.frames_written = c.frames_written.load(std::memory_order_relaxed);
-    s.bytes_read = c.bytes_read.load(std::memory_order_relaxed);
-    s.bytes_written = c.bytes_written.load(std::memory_order_relaxed);
-    s.quarantined = c.quarantined.load(std::memory_order_relaxed);
-    s.shed = c.shed.load(std::memory_order_relaxed);
-    s.idle_timeouts = c.idle_timeouts.load(std::memory_order_relaxed);
-    s.read_timeouts = c.read_timeouts.load(std::memory_order_relaxed);
-    s.requests = c.requests.load(std::memory_order_relaxed);
-    s.responses_ok = c.responses_ok.load(std::memory_order_relaxed);
-    s.responses_error = c.responses_error.load(std::memory_order_relaxed);
-    s.active_connections = c.active.load(std::memory_order_relaxed);
+    s.accepted = m_accepted.value();
+    s.closed = m_closed.value();
+    s.accept_failures = m_accept_failures.value();
+    s.frames_read = m_frames_read.value();
+    s.frames_written = m_frames_written.value();
+    s.bytes_read = m_bytes_read.value();
+    s.bytes_written = m_bytes_written.value();
+    s.quarantined = m_quarantined.value();
+    s.shed = m_shed.value();
+    s.idle_timeouts = m_idle_timeouts.value();
+    s.read_timeouts = m_read_timeouts.value();
+    s.requests = m_requests.value();
+    s.responses_ok = m_responses_ok.value();
+    s.responses_error = m_responses_error.value();
+    s.active_connections = static_cast<std::size_t>(m_active.value());
     return s;
   }
 };
@@ -683,6 +656,10 @@ const TransportConfig& TransportServer::config() const {
 }
 
 TransportSnapshot TransportServer::stats() const { return impl_->snapshot(); }
+
+const obs::MetricsRegistry& TransportServer::metrics() const {
+  return impl_->metrics;
+}
 
 // --- RemoteClient ----------------------------------------------------------
 

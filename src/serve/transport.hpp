@@ -32,7 +32,9 @@
 //
 // Every degradation mode is deterministically testable through the five
 // net.* fault points (util/faultinject.hpp) and observable through the
-// net.* counters mirrored into obs::MetricsRegistry::global().
+// transport's own net.* metrics registry: stats() is a view over it and
+// the admin plane's /metrics exports it. obs::set_metrics_enabled(false)
+// stops it counting, so stats() stands still while metrics are off.
 #pragma once
 
 #include <atomic>
@@ -91,8 +93,8 @@ struct TransportConfig {
   SloMonitor* slo = nullptr;
 };
 
-/// Point-in-time copy of the transport counters (all monotonic except
-/// active_connections).
+/// Point-in-time view of the transport's net.* instruments (all monotonic
+/// except active_connections, the net.active_connections gauge).
 struct TransportSnapshot {
   std::uint64_t accepted = 0;          // connections admitted
   std::uint64_t closed = 0;            // connections torn down (any reason)
@@ -140,6 +142,8 @@ class TransportServer {
   std::uint16_t port() const;
   const TransportConfig& config() const;
   TransportSnapshot stats() const;
+  /// This transport's net.* registry, the store stats() is a view over.
+  const obs::MetricsRegistry& metrics() const;
 
  private:
   struct Impl;

@@ -20,20 +20,8 @@ namespace {
 
 // Each test works against its own registry/recorder so global-state tests
 // cannot interfere with instrumentation from other suites in the binary.
-//
-// Under -DGEA_OBS_NOOP=ON the hot-path bodies are compiled out, so every
-// test that asserts *recorded* values is skipped; the NOOP build still
-// compiles this whole file (the API contract) and runs the tests that
-// assert nothing-is-recorded semantics.
-#if defined(GEA_OBS_NOOP)
-#define SKIP_IF_NOOP() \
-  GTEST_SKIP() << "GEA_OBS_NOOP build: instrumentation compiled out"
-#else
-#define SKIP_IF_NOOP() (void)0
-#endif
 
 TEST(Metrics, CounterStartsAtZeroAndAccumulates) {
-  SKIP_IF_NOOP();
   MetricsRegistry reg;
   Counter& c = reg.counter("c");
   EXPECT_EQ(c.value(), 0u);
@@ -57,7 +45,6 @@ TEST(Metrics, HandlesAreStableAcrossLookups) {
 }
 
 TEST(Metrics, GaugeSetAndAdd) {
-  SKIP_IF_NOOP();
   MetricsRegistry reg;
   Gauge& g = reg.gauge("g");
   g.set(3.5);
@@ -69,7 +56,6 @@ TEST(Metrics, GaugeSetAndAdd) {
 }
 
 TEST(Metrics, HistogramBucketsAndMean) {
-  SKIP_IF_NOOP();
   MetricsRegistry reg;
   Histogram& h = reg.histogram("h", {1.0, 10.0, 100.0});
   h.observe(0.5);    // bucket 0 (<= 1)
@@ -88,7 +74,6 @@ TEST(Metrics, HistogramBucketsAndMean) {
 }
 
 TEST(Metrics, HistogramQuantileEdges) {
-  SKIP_IF_NOOP();
   MetricsRegistry reg;
   Histogram& h = reg.histogram("h", {1.0, 2.0});
   EXPECT_DOUBLE_EQ(h.snapshot().quantile(0.5), 0.0);  // empty
@@ -108,7 +93,6 @@ TEST(Metrics, HistogramRejectsUnsortedBounds) {
 }
 
 TEST(Metrics, ConcurrentIncrementsAreLossless) {
-  SKIP_IF_NOOP();
   MetricsRegistry reg;
   Counter& c = reg.counter("c");
   Histogram& h = reg.histogram("h", {10.0});
@@ -131,7 +115,6 @@ TEST(Metrics, ConcurrentIncrementsAreLossless) {
 }
 
 TEST(Metrics, SnapshotAndReset) {
-  SKIP_IF_NOOP();
   MetricsRegistry reg;
   Counter& c = reg.counter("c");
   reg.gauge("g").set(7.0);
@@ -166,7 +149,6 @@ TEST(Metrics, RuntimeKillSwitchStopsWrites) {
 }
 
 TEST(Export, PrometheusRendersAllKindsWithSanitizedNames) {
-  SKIP_IF_NOOP();
   MetricsRegistry reg;
   reg.counter("pipeline.runs_total").inc(2);
   reg.gauge("train.last-loss").set(0.25);
@@ -196,7 +178,6 @@ TEST(Export, SummaryMentionsEveryMetric) {
 }
 
 TEST(Trace, SpanRecordsEventWithDuration) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(16);
   { TraceSpan span("work", rec); }
   const auto events = rec.events();
@@ -207,7 +188,6 @@ TEST(Trace, SpanRecordsEventWithDuration) {
 }
 
 TEST(Trace, NestedSpansGetIncreasingDepths) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(16);
   {
     TraceSpan outer("outer", rec);
@@ -228,7 +208,6 @@ TEST(Trace, NestedSpansGetIncreasingDepths) {
 }
 
 TEST(Trace, UnbalancedCloseKeepsRemainingDepthsConsistent) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(16);
   auto outer = std::make_unique<TraceSpan>("outer", rec);
   TraceSpan inner("inner", rec);
@@ -239,7 +218,6 @@ TEST(Trace, UnbalancedCloseKeepsRemainingDepthsConsistent) {
 }
 
 TEST(Trace, SpanDestroyedOnAnotherThreadDoesNotCorruptStack) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(16);
   auto span = std::make_unique<TraceSpan>("crossing", rec);
   std::thread t([s = std::move(span)]() mutable { s.reset(); });
@@ -255,7 +233,6 @@ TEST(Trace, SpanDestroyedOnAnotherThreadDoesNotCorruptStack) {
 }
 
 TEST(Trace, RingIsBoundedAndCountsDrops) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(4);
   for (int i = 0; i < 10; ++i) {
     // Two-step concat: GCC 12's -Wrestrict misfires on `"s" + to_string(i)`.
@@ -271,7 +248,6 @@ TEST(Trace, RingIsBoundedAndCountsDrops) {
 }
 
 TEST(Trace, AggregatesSurviveRingWrap) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(2);
   for (int i = 0; i < 5; ++i) {
     TraceSpan span("hot", rec);
@@ -283,7 +259,6 @@ TEST(Trace, AggregatesSurviveRingWrap) {
 }
 
 TEST(Trace, CloseIsIdempotentAndFreezesElapsed) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(4);
   TraceSpan span("once", rec);
   span.close();
@@ -302,7 +277,6 @@ TEST(Trace, DisabledRecorderRecordsNothing) {
 }
 
 TEST(Trace, ConcurrentSpansCarryDistinctThreadIndices) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(64);
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
@@ -322,7 +296,6 @@ TEST(Trace, ConcurrentSpansCarryDistinctThreadIndices) {
 }
 
 TEST(Export, ChromeTraceJsonIsWellFormedAndNestsStages) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(16);
   {
     TraceSpan outer("pipeline.run", rec);
@@ -339,7 +312,6 @@ TEST(Export, ChromeTraceJsonIsWellFormedAndNestsStages) {
 }
 
 TEST(Export, SpanSummaryListsNamesWithCounts) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(16);
   { TraceSpan a("alpha", rec); }
   { TraceSpan b("beta", rec); }
@@ -380,7 +352,6 @@ TEST(Export, PrometheusLabelEscaping) {
 }
 
 TEST(Export, PrometheusHelpAndTypeExactlyOncePerFamily) {
-  SKIP_IF_NOOP();
   MetricsRegistry reg;
   reg.counter("requests.total").inc();
   reg.gauge("queue.depth").set(3.0);
@@ -394,7 +365,6 @@ TEST(Export, PrometheusHelpAndTypeExactlyOncePerFamily) {
 }
 
 TEST(Export, PrometheusCollidingFamiliesEmitOnlyOnce) {
-  SKIP_IF_NOOP();
   // "serve.queue" and "serve/queue" both sanitize to serve_queue: the
   // exporter must not emit two # TYPE lines for one family — the first
   // registrant wins, the collider is dropped.
@@ -407,7 +377,6 @@ TEST(Export, PrometheusCollidingFamiliesEmitOnlyOnce) {
 }
 
 TEST(Export, PrometheusHelpEscapesMetricOriginalName) {
-  SKIP_IF_NOOP();
   // The HELP text carries the unsanitized name; backslashes and newlines
   // in it must be escaped per the exposition format.
   MetricsRegistry reg;
@@ -424,7 +393,6 @@ TEST(Export, TraceIdHexIsFixedWidth) {
 }
 
 TEST(Export, HistogramExemplarRendersWithTraceId) {
-  SKIP_IF_NOOP();
   MetricsRegistry reg;
   Histogram& h = reg.histogram("req.ms", {1.0, 10.0});
   h.observe(0.5, /*trace_id=*/0x1234);
@@ -440,7 +408,6 @@ TEST(Export, HistogramExemplarRendersWithTraceId) {
 }
 
 TEST(Metrics, ExemplarKeepsSlowestPerBucketAndSurvivesSnapshot) {
-  SKIP_IF_NOOP();
   MetricsRegistry reg;
   Histogram& h = reg.histogram("h", {10.0});
   h.observe(5.0, 111);
@@ -468,7 +435,6 @@ TEST(Trace, StartTraceYieldsDistinctValidContexts) {
 }
 
 TEST(Trace, ExplicitContextSpanCarriesTraceIdentity) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(16);
   const TraceContext root = start_trace(/*sampled=*/true);
   std::uint64_t child_span = 0;
@@ -487,7 +453,6 @@ TEST(Trace, ExplicitContextSpanCarriesTraceIdentity) {
 }
 
 TEST(Trace, ExplicitContextSpanSkipsThreadLocalStack) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(16);
   // Baseline depth first: earlier tests may have deliberately left a stale
   // entry on this thread's span stack (the cross-thread close case).
@@ -502,7 +467,6 @@ TEST(Trace, ExplicitContextSpanSkipsThreadLocalStack) {
 }
 
 TEST(Trace, RecordIntervalAndPerTraceAssembly) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(32);
   const TraceContext t1 = start_trace();
   const TraceContext t2 = start_trace();
@@ -520,7 +484,6 @@ TEST(Trace, RecordIntervalAndPerTraceAssembly) {
 }
 
 TEST(Trace, RecentTracesNewestFirstAndDeduplicated) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(32);
   const TraceContext a = start_trace();
   const TraceContext b = start_trace();
@@ -536,7 +499,6 @@ TEST(Trace, RecentTracesNewestFirstAndDeduplicated) {
 }
 
 TEST(Export, TracezTextRendersTraceAndSpans) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(32);
   const TraceContext root = start_trace(/*sampled=*/true);
   const double now = rec.now_us();
@@ -550,7 +512,6 @@ TEST(Export, TracezTextRendersTraceAndSpans) {
 }
 
 TEST(Export, ChromeTraceJsonCarriesTraceIds) {
-  SKIP_IF_NOOP();
   TraceRecorder rec(16);
   const TraceContext root = start_trace();
   { TraceSpan span("traced", root, rec); }

@@ -476,9 +476,10 @@ TEST(Server, NonFiniteLogitsGetNoVerdict) {
   serve::ServerConfig cfg;
   cfg.workers = 1;
   serve::DetectionServer server(reg, cfg);
-  auto& counter =
-      obs::MetricsRegistry::global().counter("serve.nonfinite_logits");
-  const auto counted0 = counter.value();
+  const auto counted = [&] {
+    return server.metrics().snapshot().counters.at("serve.nonfinite_logits");
+  };
+  EXPECT_EQ(counted(), 0u);
 
   Rng rng(8);
   auto row = synthetic_row(rng);
@@ -492,7 +493,7 @@ TEST(Server, NonFiniteLogitsGetNoVerdict) {
   }
   EXPECT_EQ(server.stats().nonfinite_logits, 1u);
   EXPECT_EQ(server.stats().completed, 0u);
-  EXPECT_EQ(counter.value(), counted0 + 1);
+  EXPECT_EQ(counted(), 1u);
 
   // The same row, in range, is served normally.
   row[5] = kept;
@@ -602,17 +603,10 @@ TEST(Stats, MeanBatchEmptyIsZero) {
   EXPECT_DOUBLE_EQ(stats.snapshot().mean_batch(), 0.0);
 }
 
-// ServerStats mirrors every event into the process-wide metrics registry
-// under "serve.*", so serving shows up in the same exportable surface as
-// the pipeline, trainer, and attacks.
-TEST(Stats, PublishesIntoGlobalMetricsRegistry) {
-  auto& reg = gea::obs::MetricsRegistry::global();
-  const auto before = reg.snapshot();
-  auto at = [](const std::map<std::string, std::uint64_t>& m,
-               const std::string& k) {
-    const auto it = m.find(k);
-    return it == m.end() ? std::uint64_t{0} : it->second;
-  };
+// ServerStats' only store is its own registry: every event lands there
+// under "serve.*", once, and nothing is mirrored into the process-wide one.
+TEST(Stats, PublishesIntoInstanceRegistry) {
+  const auto global_before = gea::obs::MetricsRegistry::global().snapshot();
 
   serve::ServerStats stats;
   stats.on_submitted();
@@ -622,27 +616,64 @@ TEST(Stats, PublishesIntoGlobalMetricsRegistry) {
   stats.on_batch(4);
   stats.on_completed(0.5, 1.0, 1.5);
 
-  const auto after = reg.snapshot();
-  EXPECT_EQ(at(after.counters, "serve.submitted_total"),
-            at(before.counters, "serve.submitted_total") + 1);
-  EXPECT_EQ(at(after.counters, "serve.rejected_full_total"),
-            at(before.counters, "serve.rejected_full_total") + 1);
-  EXPECT_EQ(at(after.counters, "serve.expired_total"),
-            at(before.counters, "serve.expired_total") + 1);
-  EXPECT_EQ(at(after.counters, "serve.batches_total"),
-            at(before.counters, "serve.batches_total") + 1);
-  EXPECT_EQ(at(after.counters, "serve.completed_total"),
-            at(before.counters, "serve.completed_total") + 1);
-  EXPECT_EQ(after.histograms.at("serve.batch_size").count,
-            (before.histograms.count("serve.batch_size")
-                 ? before.histograms.at("serve.batch_size").count
-                 : 0) +
-                1);
-  EXPECT_EQ(after.histograms.at("serve.infer_ms").count,
-            (before.histograms.count("serve.infer_ms")
-                 ? before.histograms.at("serve.infer_ms").count
-                 : 0) +
-                1);
+  const auto reg = stats.metrics().snapshot();
+  EXPECT_EQ(reg.counters.at("serve.submitted_total"), 1u);
+  EXPECT_EQ(reg.counters.at("serve.accepted_total"), 1u);
+  EXPECT_EQ(reg.counters.at("serve.rejected_full_total"), 1u);
+  EXPECT_EQ(reg.counters.at("serve.expired_total"), 1u);
+  EXPECT_EQ(reg.counters.at("serve.batches_total"), 1u);
+  EXPECT_EQ(reg.counters.at("serve.completed_total"), 1u);
+  EXPECT_EQ(reg.histograms.at("serve.batch_size").count, 1u);
+  EXPECT_EQ(reg.histograms.at("serve.infer_ms").count, 1u);
+  EXPECT_DOUBLE_EQ(reg.histograms.at("serve.total_ms").sum, 1.5);
+
+  const auto global_after = gea::obs::MetricsRegistry::global().snapshot();
+  for (const auto& [name, value] : global_after.counters) {
+    if (name.rfind("serve.", 0) != 0) continue;
+    const auto it = global_before.counters.find(name);
+    EXPECT_EQ(value, it == global_before.counters.end() ? 0u : it->second)
+        << name;
+  }
+}
+
+// The snapshot is a view over fixed buckets, so its cost and the memory
+// behind it do not grow with the number of requests served.
+TEST(Stats, SnapshotBoundedAfterMillionRequests) {
+  serve::ServerStats stats;
+  const std::size_t rss_before = util::peak_rss_bytes();
+  constexpr std::uint64_t kRequests = 1'000'000;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    stats.on_submitted();
+    stats.on_accepted();
+    const double ms = 0.05 + static_cast<double>(i % 1000) * 0.01;
+    stats.on_completed(ms, ms, 2.0 * ms);
+  }
+  util::Stopwatch sw;
+  const auto snap = stats.snapshot();
+  const double snapshot_ms = sw.elapsed_ms();
+  const std::size_t rss_after = util::peak_rss_bytes();
+
+  EXPECT_EQ(snap.submitted, kRequests);
+  EXPECT_EQ(snap.accepted, kRequests);
+  EXPECT_EQ(snap.completed, kRequests);
+  EXPECT_EQ(snap.total_ms.count, kRequests);
+  EXPECT_NEAR(snap.queue_ms.mean, 0.05 + 999 * 0.01 / 2, 1e-6);
+  EXPECT_LT(snapshot_ms, 20.0);
+  EXPECT_LT(rss_after - rss_before, std::size_t{4} << 20)
+      << "peak RSS grew by " << (rss_after - rss_before) << " bytes";
+}
+
+// batch_size has one integer bucket per size up to max_batch, so the
+// histogram view reproduces every size exactly.
+TEST(Stats, BatchSizesExactUpToMaxBatch) {
+  serve::ServerStats stats(32);
+  for (std::size_t size : {1u, 7u, 7u, 31u, 32u}) stats.on_batch(size);
+  const auto snap = stats.snapshot();
+  const std::map<std::size_t, std::uint64_t> expected = {
+      {1, 1}, {7, 2}, {31, 1}, {32, 1}};
+  EXPECT_EQ(snap.batch_sizes, expected);
+  EXPECT_EQ(snap.batches, 5u);
+  EXPECT_DOUBLE_EQ(snap.mean_batch(), 78.0 / 5.0);
 }
 
 }  // namespace

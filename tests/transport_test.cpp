@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <functional>
 #include <optional>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -20,7 +21,9 @@
 #include "ml/zoo.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "serve/admin.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
@@ -590,11 +593,14 @@ TEST(Transport, StopIsIdempotentAndRefusesNewConnections) {
 
 // --- Observability ---------------------------------------------------------
 
-TEST(Transport, CountersMirrorIntoMetricsRegistry) {
-  const auto before =
-      obs::MetricsRegistry::global().snapshot().counters;
+// The transport's counters live in its own registry (stats() is a view over
+// it), and an admin plane hooked to the server and the transport exports
+// all three components' registries from /metrics.
+TEST(Transport, CountersLiveInInstanceRegistry) {
   Rig rig;
-  serve::RemoteClient client(rig.client_config());
+  serve::ClientConfig ccfg = rig.client_config();
+  ccfg.trace_sample_every = 1;  // the served request carries a trace id
+  serve::RemoteClient client(ccfg);
   Rng rng(97);
   auto r = client.detect(synthetic_row(rng));
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
@@ -611,18 +617,42 @@ TEST(Transport, CountersMirrorIntoMetricsRegistry) {
   EXPECT_GT(snap.bytes_read, 0u);
   EXPECT_GT(snap.bytes_written, 0u);
 
-  const auto after = obs::MetricsRegistry::global().snapshot();
-  const auto count = [&](const std::string& name) {
-    const auto it = after.counters.find(name);
-    const std::uint64_t now = it == after.counters.end() ? 0 : it->second;
-    const auto bit = before.find(name);
-    return now - (bit == before.end() ? 0 : bit->second);
+  const auto reg = rig.transport->metrics().snapshot();
+  EXPECT_EQ(reg.counters.at("net.requests_total"), snap.requests);
+  EXPECT_EQ(reg.counters.at("net.connections_accepted_total"), snap.accepted);
+  EXPECT_EQ(reg.counters.at("net.frames_read_total"), snap.frames_read);
+  EXPECT_EQ(reg.counters.at("net.responses_ok_total"), snap.responses_ok);
+  EXPECT_GT(reg.counters.at("net.bytes_read_total"), 0u);
+  EXPECT_GT(reg.counters.at("net.bytes_written_total"), 0u);
+  ASSERT_NE(reg.histograms.find("net.request_ms"), reg.histograms.end());
+  EXPECT_GE(reg.histograms.at("net.request_ms").count, 1u);
+  // One store per component: nothing mirrors net.* into the global one.
+  EXPECT_EQ(obs::MetricsRegistry::global().snapshot().counters.count(
+                "net.requests_total"),
+            0u);
+
+  serve::AdminServer admin({}, serve::AdminHooks{&*rig.server, &*rig.transport});
+  const auto metrics = admin.handle("GET", "/metrics");
+  ASSERT_EQ(metrics.status, 200);
+  const auto has_line = [&](const std::string& prefix) {
+    return metrics.body.find("\n" + prefix) != std::string::npos;
   };
-  EXPECT_GE(count("net.requests_total"), 1u);
-  EXPECT_GE(count("net.connections_accepted_total"), 1u);
-  EXPECT_GE(count("net.frames_read_total"), 1u);
-  ASSERT_NE(after.histograms.find("net.request_ms"), after.histograms.end());
-  EXPECT_GE(after.histograms.at("net.request_ms").count, 1u);
+  EXPECT_TRUE(has_line("serve_completed_total 1\n"));
+  EXPECT_TRUE(has_line("net_requests_total "));
+  EXPECT_TRUE(has_line("admin_requests_total "));
+  // The served request's trace id rides serve.total_ms as an exemplar.
+  const std::string exemplar =
+      "# {trace_id=\"" + obs::trace_id_hex(client.stats().last_trace_id) +
+      "\"}";
+  bool joined = false;
+  std::istringstream lines(metrics.body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("serve_total_ms_bucket", 0) == 0 &&
+        line.find(exemplar) != std::string::npos) {
+      joined = true;
+    }
+  }
+  EXPECT_TRUE(joined) << metrics.body;
 }
 
 // --- Distributed trace propagation -----------------------------------------
