@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
 #include "kernels/gemm.hpp"
 #include "kernels/scratch.hpp"
 
@@ -62,6 +66,48 @@ void im2col(const Conv1DShape& s, const float* x, float* col) {
   }
 }
 
+/// dst (cols, rows) = src (rows, cols)^T, both dense row-major. Full 4x4
+/// tiles go through SSE registers (four row loads, one shuffle transpose,
+/// four row stores), so neither side is walked one strided element at a
+/// time; the ragged edges are copied element by element. Pure data
+/// movement, so the output bits are the input bits.
+void transpose(const float* src, std::size_t rows, std::size_t cols,
+               float* dst) {
+  std::size_t rows_t = 0;
+  std::size_t cols_t = 0;
+#if defined(__SSE__)
+  rows_t = rows & ~std::size_t{3};
+  cols_t = cols & ~std::size_t{3};
+  for (std::size_t r = 0; r < rows_t; r += 4) {
+    for (std::size_t c = 0; c < cols_t; c += 4) {
+      const float* s = src + r * cols + c;
+      __m128 r0 = _mm_loadu_ps(s);
+      __m128 r1 = _mm_loadu_ps(s + cols);
+      __m128 r2 = _mm_loadu_ps(s + 2 * cols);
+      __m128 r3 = _mm_loadu_ps(s + 3 * cols);
+      _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+      float* d = dst + c * rows + r;
+      _mm_storeu_ps(d, r0);
+      _mm_storeu_ps(d + rows, r1);
+      _mm_storeu_ps(d + 2 * rows, r2);
+      _mm_storeu_ps(d + 3 * rows, r3);
+    }
+  }
+#endif
+  // Columns past the last full tile in every row, then the rows past the
+  // last full tile in the tiled columns.
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = cols_t; c < cols; ++c) {
+      dst[c * rows + r] = src[r * cols + c];
+    }
+  }
+  for (std::size_t r = rows_t; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols_t; ++c) {
+      dst[c * rows + r] = src[r * cols + c];
+    }
+  }
+}
+
 /// The forward GEMM's B side: W (out, in) row-major read as its (in, out)
 /// transpose, so C (m, out) = A (m, in) * W^T. Dense runs it on its input
 /// and Conv1D on col^T; WeightPack packs W^T from the same spec, so the
@@ -114,13 +160,10 @@ void conv1d_forward(const Conv1DShape& s, const float* x, const float* w,
   spec.bias_col = b;
   spec.packed_b = wt_pack;
   gemm(spec);
-  // Transpose (n*l_out, out_ch) into (n, out_ch, l_out).
+  // Transpose each sample's (l_out, out_ch) block into (out_ch, l_out).
+  const std::size_t block = l_out * s.out_ch;
   for (std::size_t i = 0; i < s.n; ++i) {
-    for (std::size_t oc = 0; oc < s.out_ch; ++oc) {
-      float* y_row = y + (i * s.out_ch + oc) * l_out;
-      const float* ct_col = ct + i * l_out * s.out_ch + oc;
-      for (std::size_t j = 0; j < l_out; ++j) y_row[j] = ct_col[j * s.out_ch];
-    }
+    transpose(ct + i * block, l_out, s.out_ch, y + i * block);
   }
 }
 

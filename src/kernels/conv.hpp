@@ -7,7 +7,8 @@
 // thread-local scratch (with a k=3-specialized builder for the paper's
 // kernels, edge columns split out so the interior copies run without
 // per-element bounds checks), then one GEMM per call computes
-// C^T (n*l_out x out_ch) = col^T * W^T + b, transposed into the output.
+// C^T (n*l_out x out_ch) = col^T * W^T + b, transposed into the output
+// one sample block at a time in 4x4 register tiles.
 // The input gradient runs one GEMM per sample, dcol^T (l_out x in_ch*k) =
 // G_i^T * W, scattered back by col2im; W is packed once per call, or not
 // at all when the caller hands over a WeightPack. The weight gradient is

@@ -13,8 +13,11 @@
 // them packed for the GEMM in a kernels::WeightPack). Such a copy is
 // dropped by init() and by every params() call, and is not rebuilt while a
 // Param handed out by params() is still alive: a Param is a write lease on
-// the weights. Write weights only through a live Param (or init /
-// Model::load), never through a pointer kept after its Param is gone.
+// the weights. Model applies the same rule one level up to its memo of the
+// last eval-mode forward (ml/model.hpp): a Param from Model::params() pins
+// the model's lease as well as its layer's. Write weights only through a
+// live Param (or init / Model::load), never through a pointer kept after
+// its Param is gone.
 #pragma once
 
 #include <memory>
@@ -63,8 +66,10 @@ class Layer {
   /// use tighter loops, but MUST produce bitwise-identical output to
   /// forward(x, false) — the serving layer batches requests through this
   /// path and the per-sample/batched equivalence is asserted in tests.
-  /// backward() after infer() is undefined; call forward() when training.
-  virtual Tensor infer(const Tensor& x) { return forward(x, /*training=*/false); }
+  /// It must leave the forward caches alone: Model keeps its forward memo
+  /// across infer(), and a backward() may follow a memo hit. backward()
+  /// right after infer() alone is undefined; call forward() when training.
+  virtual Tensor infer(const Tensor& x) = 0;
 
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<Param> params() { return {}; }

@@ -6,24 +6,49 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "ml/loss.hpp"
 #include "util/faultinject.hpp"
 
 namespace gea::ml {
 
+Model::Model(Model&& other) noexcept
+    : layers_(std::move(other.layers_)),
+      lease_(std::move(other.lease_)),
+      memo_(std::exchange(other.memo_, std::nullopt)) {}
+
+Model& Model::operator=(Model&& other) noexcept {
+  layers_ = std::move(other.layers_);
+  lease_ = std::move(other.lease_);
+  memo_ = std::exchange(other.memo_, std::nullopt);
+  return *this;
+}
+
 Model& Model::add(LayerPtr layer) {
+  memo_.reset();
   layers_.push_back(std::move(layer));
   return *this;
 }
 
 void Model::init(util::Rng& rng) {
+  memo_.reset();
   for (auto& l : layers_) l->init(rng);
 }
 
 Tensor Model::forward(const Tensor& x, bool training) {
+  if (!training && memo_ && unleased() && memo_->input.same_shape(x) &&
+      (x.empty() ||
+       std::memcmp(memo_->input.data(), x.data(), x.size() * sizeof(float)) ==
+           0)) {
+    return memo_->output;
+  }
+  // Dropped before the layers run: a layer that throws leaves the caches
+  // half overwritten.
+  memo_.reset();
   Tensor cur = x;
   for (auto& l : layers_) cur = l->forward(cur, training);
+  if (!training && unleased()) memo_ = ForwardMemo{x, cur};
   return cur;
 }
 
@@ -50,9 +75,20 @@ Tensor Model::backward_input(const Tensor& grad_out) {
 }
 
 std::vector<Param> Model::params() {
+  memo_.reset();
+  if (!lease_) lease_ = std::make_shared<int>(0);
+  // One holder pins the model's lease and every layer's: each returned
+  // Param shares it, so the packs and the memo stay unused until the last
+  // Param is gone.
+  auto holder = std::make_shared<std::vector<std::shared_ptr<const void>>>();
+  holder->push_back(lease_);
   std::vector<Param> all;
   for (auto& l : layers_) {
-    for (auto& p : l->params()) all.push_back(p);
+    for (auto& p : l->params()) {
+      holder->push_back(std::move(p.lease));
+      p.lease = holder;
+      all.push_back(std::move(p));
+    }
   }
   return all;
 }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,10 @@ namespace gea::ml {
 class Model {
  public:
   Model() = default;
-  Model(Model&&) = default;
-  Model& operator=(Model&&) = default;
+  /// The destination takes the layers, the lease and the forward memo; the
+  /// moved-from Model is left with no memo.
+  Model(Model&& other) noexcept;
+  Model& operator=(Model&& other) noexcept;
 
   /// Append a layer (builder style).
   Model& add(LayerPtr layer);
@@ -27,6 +30,18 @@ class Model {
   void init(util::Rng& rng);
 
   /// Forward pass. `training` enables dropout.
+  ///
+  /// The model remembers its last eval-mode forward (input and output).
+  /// forward(x, false) on an input whose shape and float bytes equal the
+  /// remembered input returns the remembered output without running the
+  /// layers, whose caches still hold that forward, so a backward() or
+  /// backward_input() that follows reads them as usual. A forward is a pure
+  /// function of its input and the weights, so a hit is bitwise the value a
+  /// rerun would give. The memo is dropped by init(), add(), every params()
+  /// call and every forward(..., true), and is neither used nor stored
+  /// while a Param from params() is alive. infer() leaves it as it is.
+  /// This is what makes an attack's predict / probabilities / gradient on
+  /// one input cost one forward, not three.
   Tensor forward(const Tensor& x, bool training = false);
 
   /// Batched inference-only forward: every layer takes its cache-free
@@ -47,10 +62,12 @@ class Model {
 
   /// Every parameter of every layer. Each Param is a write lease: layers
   /// drop their packed weight copies on this call and do not rebuild them
-  /// while any returned Param is alive (ml/layer.hpp). Optimizer steps,
-  /// copy_params_from and load change weights this way (init drops the
-  /// packs itself), so the next small-batch forward/infer packs the new
-  /// values.
+  /// while any returned Param is alive (ml/layer.hpp), and the model drops
+  /// its forward memo and does not use or store one while any returned
+  /// Param is alive. Optimizer steps, copy_params_from and load change
+  /// weights this way (init drops the packs and the memo itself), so the
+  /// next small-batch forward/infer packs the new values and the next
+  /// forward runs the layers.
   std::vector<Param> params();
   void zero_grad();
   std::size_t num_parameters();
@@ -75,8 +92,9 @@ class Model {
   bool clonable() const;
 
   /// Deep copy: same architecture, same weights, fresh forward/backward
-  /// caches. Throws std::logic_error if any layer is not cloneable
-  /// (clonable() lets callers check first and fall back to serial).
+  /// caches and no forward memo. Throws std::logic_error if any layer is
+  /// not cloneable (clonable() lets callers check first and fall back to
+  /// serial).
   Model clone() const;
 
   /// Copy parameter values (not gradients) from a same-architecture model.
@@ -88,7 +106,18 @@ class Model {
   void bind_rng(util::Rng* rng);
 
  private:
+  struct ForwardMemo {
+    Tensor input;
+    Tensor output;
+  };
+
+  /// True while no Param from params() is alive.
+  bool unleased() const { return lease_.use_count() <= 1; }
+
   std::vector<LayerPtr> layers_;
+  /// Pinned by every Param params() hands out (created on first use).
+  std::shared_ptr<const void> lease_;
+  std::optional<ForwardMemo> memo_;
 };
 
 /// What an attack needs from a model: logits and input gradients over flat

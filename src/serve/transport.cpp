@@ -663,14 +663,6 @@ const obs::MetricsRegistry& TransportServer::metrics() const {
 
 // --- RemoteClient ----------------------------------------------------------
 
-namespace {
-
-obs::Counter& client_counter(const char* name) {
-  return obs::MetricsRegistry::global().counter(name);
-}
-
-}  // namespace
-
 RemoteClient::RemoteClient(const ClientConfig& config)
     : config_(config), jitter_(config.jitter_seed) {}
 
@@ -693,7 +685,6 @@ util::Status RemoteClient::ensure_connected(double budget_ms) {
   rbuf_.clear();
   if (stats_.attempts > 0) {
     ++stats_.reconnects;
-    client_counter("net.client.reconnects_total").inc();
   }
   return Status::ok();
 }
@@ -702,7 +693,6 @@ RemoteClient::Attempt RemoteClient::attempt_once(
     const std::vector<double>& features, std::uint64_t request_id,
     double budget_ms, bool has_deadline, const obs::TraceContext& ctx) {
   ++stats_.attempts;
-  client_counter("net.client.attempts_total").inc();
 
   // One send span per wire attempt (retries each get their own), parented
   // under the request's root span. Its context rides the frame header, so
@@ -712,7 +702,6 @@ RemoteClient::Attempt RemoteClient::attempt_once(
   const auto transport_fail = [this](Status st) {
     disconnect();
     ++stats_.transport_errors;
-    client_counter("net.client.transport_errors_total").inc();
     return Attempt(util::Result<Verdict>(
                        std::move(st.with_context("RemoteClient"))),
                    /*transport=*/true);
@@ -844,9 +833,7 @@ util::Result<Verdict> RemoteClient::detect(const std::vector<double>& features,
       auto st = ensure_connected(std::min(budget, config_.connect_timeout_ms));
       if (!st.is_ok()) {
         ++stats_.attempts;
-        client_counter("net.client.attempts_total").inc();
         ++stats_.transport_errors;
-        client_counter("net.client.transport_errors_total").inc();
         return Attempt(util::Result<Verdict>(std::move(st)),
                        /*transport=*/true);
       }
@@ -893,7 +880,6 @@ util::Result<Verdict> RemoteClient::detect(const std::vector<double>& features,
           std::chrono::duration<double, std::milli>(backoff));
     }
     ++stats_.retries;
-    client_counter("net.client.retries_total").inc();
   }
 }
 

@@ -233,6 +233,8 @@ struct ClientConfig {
 };
 
 /// Client-side counters (single instance = single thread; read after use).
+/// This is the client's only store: nothing is mirrored into a metrics
+/// registry, so read the client's events here.
 struct ClientStats {
   std::uint64_t requests = 0;    // detect() calls
   std::uint64_t attempts = 0;    // wire attempts (>= requests)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -372,6 +373,154 @@ TEST(Harness, MismatchedLabelsThrow) {
   EXPECT_THROW(
       run_attack(attack, tm.clf(), {{0.1, 0.2}}, {0, 1}, nullptr, {}),
       std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Model forward memo: an attack's predict, probabilities and gradient on one
+// input share one forward.
+
+/// Delegates to a ModelClassifier and counts how often the model-input
+/// tensor (the float image of x) differs from the previous call's. With
+/// `memo_free`, it calls model.params() (which drops the forward memo)
+/// before every delegated call, so every forward runs the layers.
+class Delegating : public ml::DifferentiableClassifier {
+ public:
+  Delegating(ml::ModelClassifier& inner, bool memo_free)
+      : inner_(&inner), memo_free_(memo_free) {}
+  std::size_t input_dim() const override { return inner_->input_dim(); }
+  std::size_t num_classes() const override { return inner_->num_classes(); }
+  std::vector<double> logits(const std::vector<double>& x) override {
+    see(x);
+    return inner_->logits(x);
+  }
+  std::vector<double> grad_logit(const std::vector<double>& x,
+                                 std::size_t k) override {
+    see(x);
+    return inner_->grad_logit(x, k);
+  }
+  std::vector<double> grad_weighted(
+      const std::vector<double>& x,
+      const std::vector<double>& weights) override {
+    see(x);
+    return inner_->grad_weighted(x, weights);
+  }
+
+  std::size_t calls = 0;
+  std::size_t changes = 0;
+
+ private:
+  void see(const std::vector<double>& x) {
+    if (memo_free_) (void)inner_->model().params();
+    std::vector<float> f(x.begin(), x.end());
+    ++calls;
+    if (calls == 1 || f.size() != last_.size() ||
+        std::memcmp(f.data(), last_.data(), f.size() * sizeof(float)) != 0) {
+      ++changes;
+    }
+    last_ = std::move(f);
+  }
+
+  ml::ModelClassifier* inner_;
+  bool memo_free_;
+  std::vector<float> last_;
+};
+
+/// Identity layer that counts the forwards that reach it.
+class CountingIdentity : public ml::Layer {
+ public:
+  explicit CountingIdentity(std::size_t* forwards) : forwards_(forwards) {}
+  ml::Tensor forward(const ml::Tensor& x, bool /*training*/) override {
+    ++*forwards_;
+    return x;
+  }
+  ml::Tensor infer(const ml::Tensor& x) override { return x; }
+  ml::Tensor backward_input(const ml::Tensor& grad_out) override {
+    return grad_out;
+  }
+  std::string describe() const override { return "CountingIdentity"; }
+
+ private:
+  std::size_t* forwards_;
+};
+
+/// The attacks the memo serves, at the paper's Table III settings.
+std::vector<AttackPtr> memo_attacks() {
+  std::vector<AttackPtr> attacks;
+  attacks.push_back(std::make_unique<Fgsm>(FgsmConfig{.epsilon = 0.3}));
+  attacks.push_back(std::make_unique<Pgd>(
+      PgdConfig{.epsilon = 0.3, .iterations = 40}));
+  attacks.push_back(std::make_unique<DeepFool>(
+      DeepFoolConfig{.overshoot = 0.02, .iterations = 100}));
+  attacks.push_back(
+      std::make_unique<Jsma>(JsmaConfig{.theta = 0.3, .gamma = 0.6}));
+  attacks.push_back(std::make_unique<Mim>(
+      MimConfig{.epsilon = 0.3, .iterations = 10}));
+  attacks.push_back(std::make_unique<Vam>(
+      VamConfig{.epsilon = 0.3, .power_iterations = 40}));
+  return attacks;
+}
+
+TEST(ForwardMemo, CraftedExamplesBitwiseEqualMemoFreeCrafting) {
+  auto& tm = shared_model();
+  const auto [rows, labels] = tm.correct_samples(20);
+  ASSERT_GE(rows.size(), 20u);
+  Delegating memo_free(tm.clf(), /*memo_free=*/true);
+  for (const auto& attack : memo_attacks()) {
+    SCOPED_TRACE(attack->name());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::size_t target = 1 - labels[i];
+      attack->reseed(i);
+      const auto with_memo = attack->craft(tm.clf(), rows[i], target);
+      attack->reseed(i);
+      const auto without = attack->craft(memo_free, rows[i], target);
+      ASSERT_EQ(with_memo.size(), without.size());
+      EXPECT_EQ(std::memcmp(with_memo.data(), without.data(),
+                            with_memo.size() * sizeof(double)),
+                0)
+          << "row " << i;
+    }
+  }
+}
+
+TEST(ForwardMemo, OneForwardPerDistinctInput) {
+  auto& tm = shared_model();
+  const auto [rows, labels] = tm.correct_samples(5);
+  std::size_t forwards = 0;
+  ml::Model model = tm.clf().model().clone();
+  model.add(std::make_unique<CountingIdentity>(&forwards));
+  ml::ModelClassifier clf(model, kDim, 2);
+
+  // FGSM: predict, probabilities and the gradient all read one forward.
+  Fgsm fgsm(FgsmConfig{.epsilon = 0.3});
+  (void)model.params();  // no memo left from an earlier forward
+  forwards = 0;
+  (void)fgsm.craft(clf, rows[0], 1 - labels[0]);
+  EXPECT_EQ(forwards, 1u);
+
+  for (const auto& attack : memo_attacks()) {
+    SCOPED_TRACE(attack->name());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      Delegating counter(clf, /*memo_free=*/false);
+      (void)model.params();
+      forwards = 0;
+      attack->reseed(i);
+      (void)attack->craft(counter, rows[i], 1 - labels[i]);
+      EXPECT_EQ(forwards, counter.changes) << "row " << i;
+      EXPECT_LT(forwards, counter.calls) << "row " << i;
+    }
+  }
+
+  // The memo moves with the layers: the destination still hits, and the
+  // moved-from model, an empty stack, has none (its forward is identity).
+  (void)clf.logits(rows[0]);
+  forwards = 0;
+  ml::Model moved = std::move(model);
+  ml::ModelClassifier moved_clf(moved, kDim, 2);
+  (void)moved_clf.logits(rows[0]);
+  EXPECT_EQ(forwards, 0u);
+  ml::Tensor x({1, 1, kDim});
+  for (std::size_t i = 0; i < kDim; ++i) x[i] = static_cast<float>(rows[0][i]);
+  EXPECT_EQ(model.forward(x, false).shape(), x.shape());
 }
 
 }  // namespace

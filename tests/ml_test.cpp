@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 
 #include "ml/activations.hpp"
@@ -566,6 +569,101 @@ TEST(ModelClassifier, GradLossPointsDownhill) {
   auto x2 = x;
   for (std::size_t i = 0; i < x2.size(); ++i) x2[i] += 0.05 * g[i];
   EXPECT_LE(clf.probabilities(x2)[label], clf.probabilities(x)[label] + 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Forward memo invalidation
+
+/// Logits then the logit-1 input gradient at x: the memo serves the first
+/// (a stale memo shows in the logits) and the layer caches the second (a
+/// memo hit over caches from another forward shows in the gradient).
+std::vector<double> memo_probe(Model& m, const std::vector<double>& x) {
+  ModelClassifier clf(m, 23, 2);
+  auto out = clf.logits(x);
+  const auto g = clf.grad_logit(x, 1);
+  out.insert(out.end(), g.begin(), g.end());
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ForwardMemo, DroppedWheneverWeightsOrCachesChange) {
+  Rng drng(3), wrng(4), rng(5);
+  Model m = make_paper_cnn(23, 2, drng);
+  m.init(wrng);
+  ModelClassifier clf(m, 23, 2);
+  std::vector<double> x(23);
+  for (auto& v : x) v = rng.uniform(0.0, 1.0);
+
+  // Prime the memo with logits(x), change the model, then the model must
+  // answer bit for bit like a fresh clone, and differently from before
+  // when the change moved the weights.
+  const auto expect_fresh = [&](const char* what, bool moves_weights,
+                                const std::function<void()>& change) {
+    const auto before = clf.logits(x);
+    change();
+    const auto now = memo_probe(m, x);
+    Model fresh = m.clone();
+    EXPECT_TRUE(same_bits(now, memo_probe(fresh, x))) << what;
+    if (moves_weights) {
+      EXPECT_FALSE(same_bits({now[0], now[1]}, before))
+          << what << " changed nothing";
+    }
+  };
+
+  // An optimizer step: the gradients are accumulated first, so only the
+  // step's params() call sits between the two forwards on x.
+  m.zero_grad();
+  {
+    const Tensor logits = m.forward(random_tensor({4, 1, 23}, 31), true);
+    Tensor seed(logits.shape());
+    seed.fill(1.0f);
+    (void)m.backward(seed);
+  }
+  Adam opt(0.01);
+  expect_fresh("Adam step", true, [&] { opt.step(m.params()); });
+
+  Rng wrng2(6);
+  expect_fresh("init", true, [&] { m.init(wrng2); });
+
+  Rng drng_other(7), wrng_other(8);
+  Model other = make_paper_cnn(23, 2, drng_other);
+  other.init(wrng_other);
+  expect_fresh("copy_params_from", true, [&] { m.copy_params_from(other); });
+
+  Rng wrng_saved(9);
+  other.init(wrng_saved);
+  const auto path =
+      (std::filesystem::temp_directory_path() /
+       ("gea_memo_test_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  ASSERT_TRUE(other.save_checked(path).is_ok());
+  expect_fresh("load_checked", true,
+               [&] { ASSERT_TRUE(m.load_checked(path).is_ok()); });
+  std::filesystem::remove(path);
+
+  // Same weights, but the layer caches now hold another input's
+  // training-mode forward (dropout masks included).
+  expect_fresh("forward(..., true)", false, [&] {
+    (void)m.forward(random_tensor({1, 1, 23}, 37), /*training=*/true);
+  });
+
+  // A forward while a Param is alive is not remembered: a write through
+  // that Param after it must still be seen once the Param is gone.
+  {
+    const auto before = clf.logits(x);
+    auto params = m.params();
+    (void)clf.logits(x);
+    (*params[0].value)[0] += 0.25f;
+    params.clear();
+    const auto now = memo_probe(m, x);
+    Model fresh = m.clone();
+    EXPECT_TRUE(same_bits(now, memo_probe(fresh, x))) << "live Param write";
+    EXPECT_FALSE(same_bits({now[0], now[1]}, before));
+  }
 }
 
 // ---------------------------------------------------------------------------

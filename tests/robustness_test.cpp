@@ -6,6 +6,7 @@
 // naming the fault, and nothing ever crashes.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
@@ -183,12 +184,18 @@ class CsvRobustnessTest : public RobustnessTest {
     good_text_ = new std::string(read_text(good_path()));
   }
   static void TearDownTestSuite() {
+    std::filesystem::remove(good_path());
     delete corpus_;
     corpus_ = nullptr;
     delete good_text_;
     good_text_ = nullptr;
   }
-  static std::string good_path() { return temp_path("good.csv"); }
+  /// Per process: ctest runs each test in its own process, and every one
+  /// of them writes this file in SetUpTestSuite, so a shared name lets one
+  /// test read it while another rewrites it.
+  static std::string good_path() {
+    return temp_path("good_" + std::to_string(::getpid()) + ".csv");
+  }
   static const std::string& good_text() { return *good_text_; }
 
   static dataset::Corpus* corpus_;
