@@ -4,23 +4,21 @@
 // kernels::gemm) against the retained seed-era loop nests
 // (kernels/reference.hpp) on the paper CNN's layer shapes — the exact
 // forward/backward math one training step and one batched Model::infer
-// spend their time in. Three timed paths per shape:
+// spend their time in. Two timed paths per shape:
 //
 //   - reference: the seed loops — the pre-kernel baseline;
-//   - tuned: the kernel layer under the config a quick autotune pass just
-//     picked for this machine (persisted to gemm_tuned.cfg);
-//   - scalar: the kernel layer forced onto the portable scalar fallback,
-//     isolating how much of the win is tiling vs im2col lowering.
+//   - tuned: the kernel layer on its compiled tile (the key keeps its old
+//     name so baselines and gates stay comparable).
 //
 // The headline `tuned_speedup` (sum of reference times / sum of tuned
-// times over the batched-inference forward shapes) is the ISSUE's >= 2x
-// target and is gated in CI by tools/bench_check.
+// times over the batched-inference forward shapes) is gated in CI by
+// tools/bench_check.
 //
 // A second, ungated table times the batch-1 calls a served request and an
-// attack gradient make, under the tuned config, for dense1 (368 -> 512)
-// and conv2/3/4: forward and input gradient with W packed per call (the
-// free functions without a pack) vs packed once (kernels::WeightPack, what
-// ml::Dense and ml::Conv1D run). The packed outputs must be bitwise equal
+// attack gradient make for dense1 (368 -> 512) and conv2/3/4: forward and
+// input gradient with W packed per call (the free functions without a
+// pack) vs packed once (kernels::WeightPack, what ml::Dense and ml::Conv1D
+// run). The packed outputs must be bitwise equal
 // to the per-call ones ("batch1_bitwise_ok"), or the bench exits 1.
 //
 // Before timing, every shape's kernel output is checked ULP-bounded
@@ -42,7 +40,6 @@
 #include "kernels/config.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/reference.hpp"
-#include "kernels/tune.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -299,29 +296,6 @@ int main(int argc, char** argv) {
   std::printf("gemm bench: paper CNN layer shapes, batch %zu%s\n", batch,
               smoke ? " [smoke]" : "");
 
-  // Autotune this machine first: microkernel sweep on the batched-inference
-  // GEMM shapes (cache-block grid too in full mode), then persist and
-  // install the winner so the "tuned" rows below run under it.
-  kernels::TuneOptions topts;
-  topts.quick = smoke;
-  topts.reps = smoke ? 2 : 5;
-  const auto report = kernels::tune(topts);
-  std::printf("autotune: best [%s] %.3f ms, scalar %.3f ms over %zu configs\n",
-              report.best.summary().c_str(), report.best_ms, report.scalar_ms,
-              report.candidates.size());
-  if (auto st = kernels::save_config(report.best, "gemm_tuned.cfg");
-      !st.is_ok()) {
-    std::fprintf(stderr, "gemm bench: cannot persist tuned config: %s\n",
-                 st.to_string().c_str());
-  } else {
-    std::cout << "wrote gemm_tuned.cfg\n";
-  }
-  if (auto st = kernels::set_active_config(report.best); !st.is_ok()) {
-    std::fprintf(stderr, "gemm bench: tuned config rejected: %s\n",
-                 st.to_string().c_str());
-    return 1;
-  }
-
   auto cases = paper_cnn_cases(batch);
   util::Rng rng(20260809);
 
@@ -347,14 +321,13 @@ int main(int argc, char** argv) {
 
   struct Row {
     std::string label;
-    double ref_ms, tuned_ms, scalar_ms;
+    double ref_ms, tuned_ms;
     bool infer_shape;
   };
   std::vector<Row> rows;
   double infer_ref_ms = 0.0, infer_tuned_ms = 0.0;
   double total_ref_ms = 0.0, total_tuned_ms = 0.0;
 
-  const auto scalar = kernels::scalar_config();
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& c = cases[i];
     auto& buf = buffers[i];
@@ -363,10 +336,6 @@ int main(int argc, char** argv) {
     row.infer_shape = c.infer_shape;
     row.ref_ms = best_of(reps, iters, c, buf, /*reference=*/true);
     row.tuned_ms = best_of(reps, iters, c, buf, /*reference=*/false);
-    // Both configs were validated on install above — refusal is impossible.
-    (void)kernels::set_active_config(scalar);
-    row.scalar_ms = best_of(reps, iters, c, buf, /*reference=*/false);
-    (void)kernels::set_active_config(report.best);
     rows.push_back(row);
     total_ref_ms += row.ref_ms;
     total_tuned_ms += row.tuned_ms;
@@ -374,12 +343,9 @@ int main(int argc, char** argv) {
       infer_ref_ms += row.ref_ms;
       infer_tuned_ms += row.tuned_ms;
     }
-    std::printf("%-12s ref %8.3f ms  tuned %8.3f ms (%5.2fx)  scalar %8.3f "
-                "ms (%5.2fx)\n",
+    std::printf("%-12s ref %8.3f ms  tuned %8.3f ms (%5.2fx)\n",
                 row.label.c_str(), row.ref_ms, row.tuned_ms,
-                row.tuned_ms > 0 ? row.ref_ms / row.tuned_ms : 0.0,
-                row.scalar_ms,
-                row.scalar_ms > 0 ? row.ref_ms / row.scalar_ms : 0.0);
+                row.tuned_ms > 0 ? row.ref_ms / row.tuned_ms : 0.0);
   }
 
   const double tuned_speedup =
@@ -420,15 +386,14 @@ int main(int argc, char** argv) {
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"batch\": " << batch << ",\n"
       << "  \"ulp_ok\": 1,\n"
-      << "  \"kernel_config\": \"" << report.best.summary() << "\",\n"
-      << "  \"autotune_scalar_ms\": " << report.scalar_ms << ",\n"
-      << "  \"autotune_best_ms\": " << report.best_ms << ",\n"
+      << "  \"kernel_config\": \"" << kernels::active_config_summary()
+      << "\",\n"
       << "  \"shapes\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     out << "    {\"label\": \"" << r.label << "\", \"reference_ms\": "
         << r.ref_ms << ", \"tuned_ms\": " << r.tuned_ms
-        << ", \"scalar_ms\": " << r.scalar_ms << ", \"infer_shape\": "
+        << ", \"infer_shape\": "
         << (r.infer_shape ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -96,6 +96,13 @@ void BM_Interpreter(benchmark::State& state) {
 }
 BENCHMARK(BM_Interpreter);
 
+/// Give x[0] a value it did not hold on the previous iteration, so the
+/// model's forward memo (which answers a repeated input without running
+/// the layers) never hits and every iteration times a real forward.
+void perturb(ml::Tensor& x, std::size_t iter) {
+  x[0] = static_cast<float>(iter % 1024) / 1024.0f;
+}
+
 void BM_CnnForward(benchmark::State& state) {
   util::Rng drng(8);
   auto model = ml::make_paper_cnn(23, 2, drng);
@@ -106,7 +113,9 @@ void BM_CnnForward(benchmark::State& state) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     x[i] = static_cast<float>(wrng.uniform());
   }
+  std::size_t iter = 0;
   for (auto _ : state) {
+    perturb(x, iter++);
     benchmark::DoNotOptimize(model.forward(x, false));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -125,7 +134,9 @@ void BM_CnnForwardBackward(benchmark::State& state) {
   }
   ml::Tensor seed({1, 2});
   seed[0] = 1.0f;
+  std::size_t iter = 0;
   for (auto _ : state) {
+    perturb(x, iter++);
     benchmark::DoNotOptimize(model.forward(x, false));
     benchmark::DoNotOptimize(model.backward(seed));
   }

@@ -152,8 +152,10 @@ double featurize_once(std::size_t samples) {
 }
 
 // Batched inference: per-batch span + the ServerStats publication (what
-// DetectionServer::process_batch does around each forward). State lives
-// outside the timed lambda so reps time only the batch loop.
+// DetectionServer::process_batch does around each Model::infer). State
+// lives outside the timed lambda so reps time only the batch loop. infer,
+// unlike forward(x, false), never answers from the model's forward memo,
+// so every batch runs the layers even though the input repeats.
 struct InferBench {
   static constexpr std::size_t kBatch = 32;
   gea::ml::Model model;
@@ -173,7 +175,7 @@ struct InferBench {
     for (std::size_t b = 0; b < batches; ++b) {
       gea::obs::TraceSpan span("serve.batch");
       const auto bt0 = Clock::now();
-      auto logits = model.forward(x, /*training=*/false);
+      auto logits = model.infer(x);
       const double ms = ms_since(bt0);
       stats.on_batch(kBatch);
       for (std::size_t i = 0; i < kBatch; ++i) {
@@ -185,7 +187,7 @@ struct InferBench {
   }
 };
 
-// Traced batched inference: the same forward loop, but every request in
+// Traced batched inference: the same infer loop, but every request in
 // the batch carries its own trace context, the server-side intervals are
 // recorded against it, and the latency histograms take exemplar ids —
 // exactly what DetectionServer::process_batch does for a traced request.
@@ -199,7 +201,7 @@ struct TracedInferBench : InferBench {
       gea::obs::TraceContext batch_ctx = gea::obs::start_trace(true);
       gea::obs::TraceSpan span("serve.batch", batch_ctx);
       const auto bt0 = Clock::now();
-      auto logits = model.forward(x, /*training=*/false);
+      auto logits = model.infer(x);
       const double ms = ms_since(bt0);
       stats.on_batch(kBatch);
       const double per = ms / kBatch;

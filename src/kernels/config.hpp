@@ -1,82 +1,32 @@
-// Tiling configuration for the dense-math kernel layer.
+// Description of the GEMM tile the kernel layer is compiled with.
 //
-// A KernelConfig names one point in the GEMM tuning space: the register
-// tile (mr x nr microkernel variant, compiled ahead of time) and the cache
-// block sizes (mc/kc/nc). The process holds one *active* config that every
-// kernels::gemm call reads; tools/gemm_tune searches the space on the host,
-// persists the winner to a small text file, and anything (trainer, server,
-// benches) picks it up at runtime either explicitly via load_config +
-// set_active_config or implicitly through the GEA_KERNEL_CONFIG environment
-// variable. An unsupported or corrupt config never breaks correctness: the
-// layer degrades to a portable scalar fallback (mr = nr = 0) that runs the
-// same k-ordered accumulation without tiling.
+// There is one tile and no way to change it: the kMr x kNr register tile
+// over kMc x kKc x kNc cache blocks declared in kernels/gemm.hpp. This
+// header only renders it for the environment lines that benches, the
+// trainer log and /statusz print.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "util/status.hpp"
+#include "kernels/gemm.hpp"
 
 namespace gea::kernels {
 
 struct KernelConfig {
-  /// Where the active config came from — reported by benches so speedup
-  /// trajectories are interpretable across machines.
-  enum class Source : std::uint8_t { kFallback, kDefault, kTuned };
-
-  /// Register tile (microkernel) size. mr == 0 or nr == 0 selects the
-  /// portable scalar fallback path.
-  std::uint32_t mr = 4;
-  std::uint32_t nr = 8;
-  /// Cache block sizes: rows of A, shared depth, and columns of B packed
-  /// per block. Clamped to the problem size at run time.
-  std::uint32_t mc = 64;
-  std::uint32_t kc = 256;
-  std::uint32_t nc = 512;
+  enum class Source : std::uint8_t { kDefault };
   Source source = Source::kDefault;
 
-  bool scalar() const { return mr == 0 || nr == 0; }
-  bool tuned() const { return source == Source::kTuned; }
-
-  /// One-line rendering, e.g. "mr=4 nr=8 mc=64 kc=256 nc=512 source=tuned".
-  std::string summary() const;
+  /// "mr=4 nr=8 mc=64 kc=256 nc=512 source=default".
+  std::string summary() const {
+    return "mr=" + std::to_string(kMr) + " nr=" + std::to_string(kNr) +
+           " mc=" + std::to_string(kMc) + " kc=" + std::to_string(kKc) +
+           " nc=" + std::to_string(kNc) + " source=default";
+  }
 };
 
-const char* source_name(KernelConfig::Source source);
-
-/// Compiled microkernel variants as (mr, nr) pairs — the register-tile
-/// search space the tuner sweeps. The scalar fallback (0, 0) is not listed.
-const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-microkernel_variants();
-
-/// True when (mr, nr) is a compiled variant or the scalar pair (0, 0).
-bool microkernel_supported(std::uint32_t mr, std::uint32_t nr);
-
-/// Hand-picked portable default (used when nothing was tuned).
-KernelConfig default_config();
-/// The scalar fallback config.
-KernelConfig scalar_config();
-
-/// Reject zero block sizes, absurd values, and unsupported microkernels.
-util::Status validate(const KernelConfig& cfg);
-
-/// Persist/load a config as a small self-identifying text file.
-util::Status save_config(const KernelConfig& cfg, const std::string& path);
-util::Result<KernelConfig> load_config(const std::string& path);
-
-/// Process-wide active config. The first read consults GEA_KERNEL_CONFIG
-/// (a path): if set and loadable, the tuned config is installed; otherwise
-/// the default stays. Reads copy a small POD under a mutex — cheap next to
-/// any gemm call.
-KernelConfig active_config();
-
-/// Install `cfg` as the active config. Invalid configs are refused and the
-/// previous config stays active.
-util::Status set_active_config(const KernelConfig& cfg);
-
-/// summary() of the active config — what benches embed in their JSON.
-std::string active_config_summary();
+inline const char* source_name(KernelConfig::Source) { return "default"; }
+inline KernelConfig active_config() { return {}; }
+inline std::string active_config_summary() { return active_config().summary(); }
 
 }  // namespace gea::kernels

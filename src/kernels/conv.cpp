@@ -224,7 +224,7 @@ void conv1d_input_grad(const Conv1DShape& s, const float* w,
   if (w_pack == nullptr) {
     // Pack W once for every sample's GEMM instead of once per sample.
     thread_local PackedB per_call;
-    per_call.pack(xspec, active_config());
+    per_call.pack(xspec);
     xspec.packed_b = &per_call;
   }
   for (std::size_t i = 0; i < s.n; ++i) {
@@ -319,11 +319,9 @@ void dense_backward(std::size_t n, std::size_t in, std::size_t out,
 namespace {
 
 const PackedB* pack_for(PackedB& pack, std::size_t n, const GemmSpec& spec) {
-  const KernelConfig cfg = active_config();
-  if (cfg.scalar()) return nullptr;
-  if (pack.fits(spec, cfg)) return &pack;
-  if (n >= cfg.mr) return nullptr;
-  pack.pack(spec, cfg);
+  if (pack.fits(spec)) return &pack;
+  if (n >= kMr) return nullptr;
+  pack.pack(spec);
   return &pack;
 }
 

@@ -22,9 +22,8 @@
 //
 // Numeric contract (see kernels/reference.hpp for the preserved seed
 // loops): every output element is one k-ordered accumulation chain, so
-// results are independent of batch size, tile configuration and weight
-// packing — per-sample forward, batched infer, and any tuning of the
-// active config all agree bitwise with each other — and ULP-bounded
+// results are independent of batch size and weight packing — per-sample
+// forward and batched infer agree bitwise with each other — and ULP-bounded
 // against the seed loops, whose only differences are per-input-channel
 // regrouping and skipped zero terms.
 #pragma once
@@ -95,12 +94,11 @@ void dense_backward(std::size_t n, std::size_t in, std::size_t out,
 /// A weight matrix w (out, in) packed once for the two GEMMs that read it
 /// as B: w^T for the forward (dense_forward, conv1d_forward), w for the
 /// input gradient (dense_input_grad, conv1d_input_grad), for a batch of n
-/// samples. A layout that fits the active config is returned as is.
-/// Otherwise it is packed only when n < mr, where a per-call pack would
+/// samples. A pack that fits (same in and out) is returned as is.
+/// Otherwise it is packed only when n < kMr, where a per-call pack would
 /// cost more than the product itself; larger batches get nullptr and pack
 /// per call, which keeps training (new weights every step) on the
-/// unchanged path. A request under another nr/kc repacks; nullptr under
-/// the scalar config. The owner calls reset() whenever w may have changed.
+/// unchanged path. The owner calls reset() whenever w may have changed.
 class WeightPack {
  public:
   const PackedB* forward(std::size_t n, std::size_t in, std::size_t out,

@@ -3,9 +3,13 @@
 // One entry point owns the dense-math hot path: Conv1D (via im2col
 // lowering, see kernels/conv.hpp) and Dense forward/backward/batched-infer
 // all reduce to gemm() calls. The implementation is a classic three-level
-// blocking scheme (BLIS-style): B is packed into nr-wide column panels and
-// A into mr-tall row panels per (kc x nc) / (mc x kc) cache block, and an
-// mr x nr register-tile microkernel walks the shared dimension.
+// blocking scheme (BLIS-style): B is packed into kNr-wide column panels and
+// A into kMr-tall row panels per (kKc x kNc) / (kMc x kKc) cache block, and
+// a kMr x kNr register-tile microkernel walks the shared dimension.
+//
+// The tile is compiled in and has no knob. A 4 x 8 tile over 64 x 256 x 512
+// blocks beat every other register tile (2x4 .. 8x8, 4x16) and cache-block
+// grid that was tried on the paper CNN's GEMMs at batch 1, 16 and 64.
 //
 // Floating-point contract — the property every caller leans on:
 //
@@ -16,10 +20,10 @@
 // Tiling never splits or reorders a chain: the k-block loop is outermost
 // per column block and partial register tiles run the exact same unrolled
 // code as full ones (zero-padded panels, masked stores). Consequently the
-// result is independent of the tile parameters, the batch position an
-// element lands in, and whether the tiled or scalar-fallback path ran —
-// which is what keeps batched inference bitwise-identical to per-sample
-// forward, and the whole layer ULP-bounded against the seed loops.
+// result is independent of the batch position an element lands in and
+// bitwise equal to a naive k-ordered triple loop — which is what keeps
+// batched inference bitwise-identical to per-sample forward, and the whole
+// layer ULP-bounded against the seed loops.
 //
 // Three speed paths live under the same contract:
 //
@@ -28,11 +32,11 @@
 //     layout the per-call packing writes, and handed over as
 //     GemmSpec::packed_b; the tiled path then reads its panels instead of
 //     re-packing B. Only the panel source changes, never a chain.
-//   * Small m. When m < mr (Dense layers at batch 1 .. mr-1) a register
+//   * Small m. When m < kMr (Dense layers at batch 1 .. 3) a register
 //     tile would be mostly dead rows, so each row of C instead streams
 //     several packed B panels at once. Every C[i][j] still keeps one
 //     register-resident chain in k order, so the result is bitwise the
-//     one the register tiles and the scalar fallback produce.
+//     one the register tiles produce.
 //   * AVX2 microkernels. The register tile and row kernels are compiled
 //     for AVX2 and for the baseline ISA, and the CPU picks at load time.
 //     FMA is left out on purpose, so every multiply and add is still
@@ -41,13 +45,15 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 
-#include "kernels/config.hpp"
-#include "kernels/scratch.hpp"
-
 namespace gea::kernels {
+
+inline constexpr std::size_t kMr = 4;    // register tile rows
+inline constexpr std::size_t kNr = 8;    // register tile columns
+inline constexpr std::size_t kMc = 64;   // rows of A per cache block
+inline constexpr std::size_t kKc = 256;  // shared depth per cache block
+inline constexpr std::size_t kNc = 512;  // columns of B per cache block
 
 class PackedB;
 
@@ -69,58 +75,48 @@ struct GemmSpec {
   const float* bias_row = nullptr;  // length m: C[i][*] starts at bias_row[i]
   const float* bias_col = nullptr;  // length n: C[*][j] starts at bias_col[j]
   bool accumulate = false;          // C += A*B (bias_* must be null)
-  /// Optional pre-packed copy of B. Used when it fits this spec and the
-  /// config (PackedB::fits); otherwise ignored, so `b` stays required —
-  /// the scalar fallback and a mismatched pack read it.
+  /// Optional pre-packed copy of B. Used when it fits this spec
+  /// (PackedB::fits); otherwise ignored, so `b` stays required — a
+  /// mismatched pack falls back to reading it.
   const PackedB* packed_b = nullptr;
 };
 
-/// The B operand of a GEMM packed once, in the k-blocked NR-panel layout
+/// The B operand of a GEMM packed once, in the k-blocked kNr-panel layout
 /// the tiled path packs per call: for the k block starting at p0 (depth
-/// kb = min(kc, k - p0)), panel q holds columns [q*nr, q*nr + nr) with
-/// B[p0 + kk][q*nr + t] at offset kk*nr + t, zero-padded past n. The
-/// layout depends only on k, n, nr and kc, so a pack stays usable under
-/// any mr/mc/nc and must be rebuilt when nr or kc changes.
+/// kb = min(kKc, k - p0)), panel q holds columns [q*kNr, q*kNr + kNr) with
+/// B[p0 + kk][q*kNr + t] at offset kk*kNr + t, zero-padded past n.
 ///
 /// A PackedB is a snapshot: it does not see later writes to the matrix it
 /// was packed from. Its owner resets it whenever that matrix may change.
 class PackedB {
  public:
-  /// Pack `spec`'s B operand (b, ldb, trans_b over k x n) for `cfg`. A
-  /// scalar config leaves the pack empty.
-  void pack(const GemmSpec& spec, const KernelConfig& cfg);
+  /// Pack `spec`'s B operand (b, ldb, trans_b over k x n).
+  void pack(const GemmSpec& spec);
 
   /// Forget the contents; the storage is kept for the next pack().
-  void reset() { nr_ = 0; }
+  void reset() { panels_ = 0; }
 
-  /// True when the pack holds a k x n operand laid out for cfg's nr/kc.
-  bool fits(const GemmSpec& spec, const KernelConfig& cfg) const {
-    return nr_ != 0 && nr_ == cfg.nr && kc_ == cfg.kc && k_ == spec.k &&
-           n_ == spec.n;
+  /// True when the pack holds a k x n operand.
+  bool fits(const GemmSpec& spec) const {
+    return panels_ != 0 && k_ == spec.k && n_ == spec.n;
   }
 
   /// First panel of the k block starting at p0, from column j0 on (j0 a
-  /// multiple of nr). Panels follow at a stride of nr * kb floats.
+  /// multiple of kNr). Panels follow at a stride of kNr * kb floats.
   const float* block(std::size_t p0, std::size_t j0) const {
-    const std::size_t kb = std::min<std::size_t>(kc_, k_ - p0);
-    return data_.get() + p0 * panels_ * nr_ + (j0 / nr_) * nr_ * kb;
+    const std::size_t kb = std::min(kKc, k_ - p0);
+    return data_.get() + p0 * panels_ * kNr + (j0 / kNr) * kNr * kb;
   }
 
  private:
   // Left uninitialized on allocation: pack() writes every element.
   std::unique_ptr<float[]> data_;
   std::size_t capacity_ = 0;
-  std::size_t k_ = 0, n_ = 0, panels_ = 0;
-  std::uint32_t nr_ = 0, kc_ = 0;  // nr_ == 0: empty
+  std::size_t k_ = 0, n_ = 0, panels_ = 0;  // panels_ == 0: empty
 };
 
-/// Run the GEMM with an explicit config and scratch arena. Unsupported
-/// configs silently take the scalar path (correct, untiled).
-void gemm(const GemmSpec& spec, const KernelConfig& cfg,
-          KernelScratch& scratch);
-
-/// Run with the process-wide active config and the calling thread's
-/// scratch; records kernels.gemm_ms / kernels.{tuned,fallback} metrics.
+/// C = init + A * B on the calling thread's KernelScratch; records
+/// kernels.gemm_calls and kernels.gemm_ms.
 void gemm(const GemmSpec& spec);
 
 }  // namespace gea::kernels

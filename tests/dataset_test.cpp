@@ -7,6 +7,7 @@
 #include "dataset/io.hpp"
 #include "dataset/split.hpp"
 #include "isa/interpreter.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -169,8 +170,7 @@ TEST(Split, RowsForAndLabelsFor) {
 // CSV I/O
 
 TEST(Io, FeatureCsvRoundTrip) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "gea_feat_test.csv").string();
+  const auto path = test::unique_temp_path("feat.csv");
   write_features_csv(small_corpus(), path);
   const auto loaded = read_features_csv(path);
   ASSERT_EQ(loaded.rows.size(), small_corpus().size());

@@ -31,6 +31,7 @@
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -46,7 +47,7 @@ dataset::CsvReadOptions csv_opts(bool strict) {
 }
 
 std::string test_dir(const std::string& name) {
-  const fs::path d = fs::temp_directory_path() / ("gea_family_" + name);
+  const fs::path d = test::unique_temp_path("family_" + name);
   fs::remove_all(d);
   fs::create_directories(d);
   return d.string();

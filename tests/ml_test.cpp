@@ -19,6 +19,7 @@
 #include "ml/trainer.hpp"
 #include "ml/zoo.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -483,8 +484,7 @@ TEST(Model, SaveLoadRoundTrip) {
   Model a = make_mlp_baseline(6, 2);
   Rng wrng(5);
   a.init(wrng);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "gea_model_test.bin").string();
+  const auto path = gea::test::unique_temp_path("model.bin");
   a.save(path);
 
   Model b = make_mlp_baseline(6, 2);
@@ -501,8 +501,7 @@ TEST(Model, LoadRejectsWrongArchitecture) {
   Model a = make_mlp_baseline(6, 2);
   Rng wrng(5);
   a.init(wrng);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "gea_model_test2.bin").string();
+  const auto path = gea::test::unique_temp_path("model.bin");
   a.save(path);
   Model b = make_mlp_baseline(7, 2);
   EXPECT_THROW(b.load(path), std::runtime_error);
@@ -636,10 +635,7 @@ TEST(ForwardMemo, DroppedWheneverWeightsOrCachesChange) {
 
   Rng wrng_saved(9);
   other.init(wrng_saved);
-  const auto path =
-      (std::filesystem::temp_directory_path() /
-       ("gea_memo_test_" + std::to_string(::getpid()) + ".bin"))
-          .string();
+  const auto path = gea::test::unique_temp_path("memo.bin");
   ASSERT_TRUE(other.save_checked(path).is_ok());
   expect_fresh("load_checked", true,
                [&] { ASSERT_TRUE(m.load_checked(path).is_ok()); });

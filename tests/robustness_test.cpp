@@ -36,6 +36,7 @@
 #include "util/faultinject.hpp"
 #include "util/log.hpp"
 #include "util/status.hpp"
+#include "temp_path.hpp"
 
 namespace gea {
 namespace {
@@ -54,7 +55,7 @@ using util::ScopedFault;
 using util::Status;
 
 std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "gea_robustness_" + name;
+  return test::unique_temp_path("robustness_" + name);
 }
 
 void write_text(const std::string& path, const std::string& text) {
@@ -192,9 +193,11 @@ class CsvRobustnessTest : public RobustnessTest {
   }
   /// Per process: ctest runs each test in its own process, and every one
   /// of them writes this file in SetUpTestSuite, so a shared name lets one
-  /// test read it while another rewrites it.
-  static std::string good_path() {
-    return temp_path("good_" + std::to_string(::getpid()) + ".csv");
+  /// test read it while another rewrites it. Fixed at the first call (in
+  /// SetUpTestSuite), so the test bodies read the file it wrote.
+  static const std::string& good_path() {
+    static const std::string path = temp_path("good.csv");
+    return path;
   }
   static const std::string& good_text() { return *good_text_; }
 
@@ -805,8 +808,7 @@ TEST_F(RobustnessTest, LogLevelIsSafeToFlipWhileOtherThreadsLog) {
 }
 
 TEST_F(RobustnessTest, JsonLogSinkWritesOneObjectPerLine) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "gea_log_sink_test.jsonl";
+  const std::filesystem::path path = test::unique_temp_path("log_sink.jsonl");
   std::filesystem::remove(path);
   util::set_log_json(path.string());
   util::log_warn("hello \"quoted\"\nsecond line");
@@ -828,8 +830,7 @@ TEST_F(RobustnessTest, JsonLogSinkWritesOneObjectPerLine) {
 }
 
 TEST_F(RobustnessTest, JsonLogSinkYieldsToActiveCapture) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "gea_log_sink_capture_test.jsonl";
+  const std::filesystem::path path = test::unique_temp_path("log_sink.jsonl");
   std::filesystem::remove(path);
   util::set_log_json(path.string());
   {

@@ -7,6 +7,7 @@
 #include "isa/assembler.hpp"
 #include "isa/interpreter.hpp"
 #include "isa/serialize.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -34,8 +35,7 @@ TEST(Serialize, RoundTripViaStream) {
 TEST(Serialize, RoundTripViaFile) {
   Rng rng(3);
   const auto p = bingen::generate_program(bingen::Family::kMiraiLike, rng);
-  const auto path =
-      (std::filesystem::temp_directory_path() / "gea_prog_test.bin").string();
+  const auto path = test::unique_temp_path("prog.bin");
   isa::save_program(p, path);
   const auto q = isa::load_program(path);
   EXPECT_EQ(p, q);

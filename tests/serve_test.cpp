@@ -23,6 +23,7 @@
 #include "serve/server.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -58,8 +59,7 @@ std::string write_checkpoint(const std::string& tag, std::uint64_t seed) {
   features::FeatureScaler scaler;
   scaler.fit(rows);
 
-  const auto dir =
-      (std::filesystem::temp_directory_path() / ("gea_serve_" + tag)).string();
+  const auto dir = test::unique_temp_path("serve_" + tag);
   std::filesystem::remove_all(dir);
   auto st = serve::Checkpoint::write(dir, model, &scaler);
   EXPECT_TRUE(st.is_ok()) << st.to_string();

@@ -19,6 +19,7 @@
 #include "features/engine.hpp"
 #include "util/faultinject.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -38,7 +39,7 @@ using util::ScopedFault;
 
 /// Fresh per-test scratch directory under the system temp root.
 std::string test_dir(const std::string& name) {
-  const fs::path d = fs::temp_directory_path() / ("gea_shard_" + name);
+  const fs::path d = test::unique_temp_path("shard_" + name);
   fs::remove_all(d);
   fs::create_directories(d);
   return d.string();
@@ -228,9 +229,7 @@ TEST_F(ShardedCorpusTest, AbandonedWriterLeavesNoCorpus) {
 
 TEST_F(ShardedCorpusTest, OpenMissingDirFails) {
   const auto res =
-      dataset::ShardedCorpus::open((fs::temp_directory_path() /
-                                    "gea_shard_definitely_missing")
-                                       .string());
+      dataset::ShardedCorpus::open(test::unique_temp_path("shard_missing"));
   ASSERT_FALSE(res.is_ok());
   EXPECT_EQ(res.status().code(), util::ErrorCode::kNotFound);
 }

@@ -32,6 +32,7 @@
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -66,9 +67,7 @@ const std::string& checkpoint_dir() {
     for (int i = 0; i < 32; ++i) rows.push_back(to_fv(synthetic_row(data_rng)));
     features::FeatureScaler scaler;
     scaler.fit(rows);
-    const auto d = (std::filesystem::temp_directory_path() /
-                    ("gea_transport_test_" + std::to_string(::getpid())))
-                       .string();
+    const auto d = test::unique_temp_path("transport_ckpt");
     std::filesystem::remove_all(d);
     auto st = serve::Checkpoint::write(d, model, &scaler);
     EXPECT_TRUE(st.is_ok()) << st.to_string();

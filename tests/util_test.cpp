@@ -10,6 +10,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -256,7 +257,7 @@ TEST(Csv, ParseToleratesCrlfAndMissingTrailingNewline) {
 }
 
 TEST(Csv, RoundTripFile) {
-  const auto path = std::filesystem::temp_directory_path() / "gea_csv_test.csv";
+  const std::filesystem::path path = gea::test::unique_temp_path("csv.csv");
   {
     CsvWriter w(path.string());
     w.write_row(std::vector<std::string>{"x", "y,z", "q\"r"});
